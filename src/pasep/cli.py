@@ -19,14 +19,14 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import ansatz, closedforms, crosscheck, paths, permstats, rooks
+from . import ansatz, closedforms, crosscheck, kernels, paths, permstats, rooks
 from .laurent import ONE_MINUS_Q, Y, LaurentPoly
 
 # Per-method size caps: exhaustive methods refuse rather than hang.
 METHOD_CAPS = {
     "matrix": 40,
     "motzkin": 64,
-    "signed-paths": 12,
+    "signed-paths": kernels.SIGNED_PATH_CAP,
     "rooks": 9,
     "theorem1": 64,
     "williams": 64,
@@ -50,7 +50,6 @@ class RunConfig:
     fmt: str = "pretty"
     q: Fraction | None = None
     y: Fraction | None = None
-    threads: int = 1
     coeff: tuple[int, int] | None = None
 
 
@@ -132,14 +131,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--q", type=_parse_value, default=None, help="specialise q")
     p_eval.add_argument("--y", type=_parse_value, default=None, help="specialise y")
     p_eval.add_argument("--format", choices=("json", "csv", "pretty"), default="pretty")
-    p_eval.add_argument("--threads", type=int, default=1)
-    p_eval.add_argument("--seed", type=int, default=None, help="reserved; unused")
 
     p_cc = sub.add_parser("crosscheck", help="run every cross-method identity")
     p_cc.add_argument("--n-max", type=int, default=6, help=f"max size (cap {CROSSCHECK_CAP})")
     p_cc.add_argument("--format", choices=("json", "csv", "pretty"), default="pretty")
-    p_cc.add_argument("--threads", type=int, default=1)
-    p_cc.add_argument("--seed", type=int, default=None, help="reserved; unused")
 
     p_tab = sub.add_parser("table", help="coefficient table over a size range")
     p_tab.add_argument("range", nargs="?", type=_parse_range, default=None,
@@ -149,8 +144,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_tab.add_argument("--coeff", type=_parse_coeff, default=(0, 3),
                        help="q-coefficient column(s), e.g. q1 or q0..q3")
     p_tab.add_argument("--format", choices=("json", "csv", "pretty"), default="csv")
-    p_tab.add_argument("--threads", type=int, default=1)
-    p_tab.add_argument("--seed", type=int, default=None, help="reserved; unused")
 
     return parser
 
@@ -194,7 +187,7 @@ def cmd_crosscheck(cfg: RunConfig) -> int:
         return 3
     n_max = cfg.n_range[1]
     t0 = time.monotonic()
-    reports = crosscheck.run_all(n_max, threads=cfg.threads)
+    reports = crosscheck.run_all(n_max)
     elapsed = time.monotonic() - t0
     failed = [r for r in reports if not r.ok]
     if cfg.fmt == "json":
@@ -239,13 +232,7 @@ def cmd_table(cfg: RunConfig) -> int:
         p = closedforms.partition_polynomial_y1(n)
         return [p.coeff(m, 0) for m in range(clo, chi + 1)]
 
-    if cfg.threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            rows = list(pool.map(row, sizes))
-    else:
-        rows = [row(n) for n in sizes]
+    rows = [row(n) for n in sizes]
 
     if cfg.fmt == "json":
         print(
@@ -281,7 +268,6 @@ def main(argv=None) -> int:
             fmt=args.format,
             q=args.q,
             y=args.y,
-            threads=args.threads,
         )
         return cmd_eval(cfg)
     if args.command == "crosscheck":
@@ -289,7 +275,6 @@ def main(argv=None) -> int:
             command="crosscheck",
             n_range=(1, args.n_max),
             fmt=args.format,
-            threads=args.threads,
         )
         return cmd_crosscheck(cfg)
     n_range = args.range_flag if args.range_flag is not None else args.range
@@ -301,7 +286,6 @@ def main(argv=None) -> int:
         n_range=n_range,
         coeff=args.coeff,
         fmt=args.format,
-        threads=args.threads,
     )
     return cmd_table(cfg)
 

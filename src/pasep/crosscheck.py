@@ -440,6 +440,27 @@ def check_kernel_definitions(n_max: int) -> CheckReport:
         hist[(c, 0)] = hist.get((c, 0), 0) + 1
     if LaurentPoly(hist) != permstats.matching_crossing_polynomial(m):
         violations.append("matching table differs from definitions")
+    for size in range(1, n + 1):
+        for restricted, bulk in (
+            (False, paths.labelled_path_sum(size)),
+            (True, paths.core_signed_sum(size)),
+        ):
+            total = ZERO
+            for p in paths.iter_labelled_paths(size, restricted):
+                total = total + p.weight()
+            if total != bulk:
+                kind = "core" if restricted else "labelled"
+                violations.append(f"{kind} path sum differs from definitions at n={size}")
+    for size in range(n + 1):
+        counts: dict = {}
+        for _, k, j in paths.iter_left_factors(size):
+            counts[(k, j)] = counts.get((k, j), 0) + 1
+        if any(
+            paths.left_factor_count(size, k, j) != counts.get((k, j), 0)
+            for k in range(size + 1)
+            for j in range(size + 1)
+        ):
+            violations.append(f"left-factor table differs from definitions at n={size}")
     return CheckReport("kernels vs reference definitions", not violations, violations)
 
 
@@ -492,13 +513,8 @@ CHECKS = (
 )
 
 
-def run_all(n_max: int, threads: int = 1) -> list[CheckReport]:
+def run_all(n_max: int) -> list[CheckReport]:
     """Run every check; reports come back in the declared order."""
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(lambda c: c(n_max), CHECKS))
     return [check(n_max) for check in CHECKS]
 
 

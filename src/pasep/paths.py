@@ -20,7 +20,7 @@ Two weight schemes appear:
 ``decompose`` factors any labelled path into an unlabelled prefix (a left
 factor, recorded over the same four step kinds) and a core path, and
 ``recompose`` inverts it.  Left factors are also counted two independent
-ways: by direct enumeration and through non-intersecting lattice-path pairs.
+ways: by a height transfer and through non-intersecting lattice-path pairs.
 
 Step serialisation: U (NE), D (SE), F1, F2, with a trailing ``*`` marking a
 starred step; e.g. ``"U F1* D*"``.
@@ -228,18 +228,15 @@ def _table_to_poly(table: list[list[int]]) -> LaurentPoly:
 def labelled_path_sum(n: int) -> LaurentPoly:
     """Signed weight sum over all labelled closed paths of length n.
 
-    Equals (1-q)^n * motzkin_polynomial(n); exhaustive, so n is capped at 12.
+    Equals (1-q)^n * motzkin_polynomial(n); n is capped at
+    kernels.SIGNED_PATH_CAP.
     """
-    if not 1 <= n <= 12:
-        raise ValueError("labelled enumeration supports 1 <= n <= 12")
     return _table_to_poly(kernels.signed_path_table(n, False))
 
 
 @lru_cache(maxsize=None)
 def core_signed_sum(k: int) -> LaurentPoly:
-    """Signed weight sum over the core subset of length k."""
-    if k < 0 or k > 12:
-        raise ValueError("core enumeration supports 0 <= k <= 12")
+    """Signed weight sum over the core subset of length k <= kernels.SIGNED_PATH_CAP."""
     if k == 0:
         return ONE
     return _table_to_poly(kernels.signed_path_table(k, True))
@@ -330,7 +327,7 @@ def recompose(
 
 def left_factor_count(n: int, k: int, j: int) -> int:
     """Number of length-n prefixes of final height k with j SE or E1 steps,
-    by direct enumeration."""
+    by a (height, j) transfer."""
     table = _left_factor_table(n)
     if not (0 <= k <= n and 0 <= j <= n):
         return 0
@@ -480,26 +477,12 @@ def _zs_eval_z1(a: dict) -> LaurentPoly:
 def _core_z_series(n: int) -> tuple[tuple[int, int, int, int], ...]:
     """Signed monomial data (z_exp, e_q, e_y, coeff) for the core set of length n,
     with z marking starred steps."""
-    acc: dict[tuple[int, int, int], int] = {}
-
-    def rec(pos, h, prev_plain_ne, z, eq, ey, sign):
-        if pos == n:
-            if h == 0:
-                key = (z, eq, ey)
-                acc[key] = acc.get(key, 0) + sign
-            return
-        if h > n - pos:
-            return
-        rec(pos + 1, h, False, z + 1, eq + h + 1, ey + 1, -sign)  # E1*
-        rec(pos + 1, h, False, z + 1, eq + h, ey, -sign)  # E2*
-        rec(pos + 1, h + 1, False, z + 1, eq + h + 1, ey + 1, -sign)  # NE*
-        rec(pos + 1, h + 1, True, z, eq, ey + 1, sign)  # NE plain
-        if h > 0:
-            rec(pos + 1, h - 1, False, z + 1, eq + h, ey, -sign)  # SE*
-            if not prev_plain_ne:
-                rec(pos + 1, h - 1, False, z, eq, ey, sign)  # SE plain
-    rec(0, 0, False, 0, 0, 0, 1)
-    return tuple((z, eq, ey, c) for (z, eq, ey), c in acc.items() if c)
+    return tuple(
+        (z, eq, ey, c)
+        for (z, ey), row in kernels._signed_path_counts(n, True, True).items()
+        for eq, c in enumerate(row)
+        if c
+    )
 
 
 def _core_zsum(n: int) -> dict:

@@ -3,8 +3,8 @@
 These are the independent oracles for the closed forms: generating
 polynomials over all of S_n (ascents with vincular 13-2 patterns, weak
 exceedances with crossings) and over all perfect matchings (crossings).
-Bulk enumeration goes through the kernel backend; the per-permutation
-functions here are the reference definitions used on single inputs.
+Bulk tables come from `pasep.kernels`; the per-permutation functions here
+are the reference definitions used on single inputs.
 
 Permutations are tuples in one-line notation with values 1..n.
 """
@@ -124,10 +124,40 @@ def classical_hist(n: int) -> tuple[int, ...]:
     return tuple(hist)
 
 
+def classical_tail(n: int, k: int) -> tuple[int, ...]:
+    """hist[c] for c <= k: #permutations of n with c classical 1-3-2 occurrences.
+
+    Permutations are built by prefix.  Occurrences only accrue as a prefix
+    grows, so a prefix is dropped once its count exceeds k.
+    """
+    if not 1 <= n <= 12:
+        raise ValueError("n must be in 1..12")
+    hist = [0] * (k + 1)
+
+    def rec(prefix: list[int], unused: list[int], count: int):
+        if not unused:
+            hist[count] += 1
+            return
+        for idx, c in enumerate(unused):
+            # occurrences with c as the final "2": i < j, w_i < c < w_j
+            extra = below = 0
+            for v in prefix:
+                if v < c:
+                    below += 1
+                else:
+                    extra += below
+            if count + extra <= k:
+                prefix.append(c)
+                rec(prefix, unused[:idx] + unused[idx + 1 :], count + extra)
+                prefix.pop()
+
+    rec([], list(range(1, n + 1)), 0)
+    return tuple(hist)
+
+
 def psi(k: int, n: int) -> int:
     """#permutations of n with at most k classical 1-3-2 occurrences."""
-    hist = classical_hist(n)
-    return sum(hist[: k + 1])
+    return sum(classical_tail(n, k))
 
 
 def vincular_bounded_by_classical(n: int) -> bool:
@@ -188,6 +218,7 @@ __all__ = [
     "iter_permutations",
     "gen_polynomial",
     "classical_hist",
+    "classical_tail",
     "psi",
     "vincular_bounded_by_classical",
     "matching_crossing_polynomial",

@@ -76,6 +76,26 @@ def test_eval_cap_exit_code(capsys):
     assert "capped" in err
 
 
+def test_signed_paths_at_cap(capsys):
+    cap = cli.METHOD_CAPS["signed-paths"]
+    assert cap == 24
+    outs = []
+    for method in ("signed-paths", "theorem1"):
+        assert run_cli(["eval", "--method", method, "-n", str(cap), "--format", "json"]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    assert run_cli(["eval", "--method", "signed-paths", "-n", str(cap + 1)]) == 3
+    assert "capped" in capsys.readouterr().err
+
+
+def test_removed_flags_rejected():
+    for verb in (["eval", "--method", "theorem1", "-n", "3"], ["crosscheck"], ["table", "1..3"]):
+        for flag in ("--threads", "--seed"):
+            with pytest.raises(SystemExit) as exc:
+                run_cli(verb + [flag, "1"])
+            assert exc.value.code == 2
+
+
 def test_usage_errors_exit_2():
     with pytest.raises(SystemExit) as exc:
         run_cli(["eval", "--method", "not-a-method", "-n", "3"])
@@ -111,13 +131,6 @@ def test_table_q10_matches_closed_form(capsys):
     lines = capsys.readouterr().out.strip().split("\n")
     got = [int(line.split(",")[1]) for line in lines[1:]]
     assert got == [closedforms.q10_coefficient(n) for n in range(8, 13)]
-
-
-def test_table_threads_deterministic(capsys):
-    assert run_cli(["table", "1..8", "--coeff", "q0..q2"]) == 0
-    single = capsys.readouterr().out
-    assert run_cli(["table", "1..8", "--coeff", "q0..q2", "--threads", "4"]) == 0
-    assert capsys.readouterr().out == single
 
 
 def test_crosscheck_small_passes(capsys):

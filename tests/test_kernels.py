@@ -1,79 +1,65 @@
-"""Backend parity: the compiled kernels must agree with the pure fallback."""
+"""The transfer-DP kernels against per-object enumeration."""
+
+import math
 
 import pytest
 
-from pasep import _kernels_py, kernels
-
-try:
-    from pasep import _speedups
-except ImportError:
-    _speedups = None
-
-needs_compiled = pytest.mark.skipif(
-    _speedups is None, reason="compiled kernels not built"
-)
+import pasep
+from pasep import kernels, paths, permstats
+from pasep.laurent import ZERO
 
 
-def test_backend_identifies_itself():
-    import os
-
-    assert kernels.BACKEND in ("compiled", "python")
-    forced_pure = os.environ.get("PASEP_PURE_PYTHON", "") not in ("", "0")
-    if _speedups is not None and not forced_pure:
-        assert kernels.BACKEND == "compiled"
-    if forced_pure:
-        assert kernels.BACKEND == "python"
+def test_backend_constant():
+    assert pasep.BACKEND == kernels.BACKEND == "python"
+    assert kernels.__all__[0] == "BACKEND"
 
 
-@needs_compiled
 @pytest.mark.parametrize("n", range(1, 7))
-def test_permutation_tables_agree(n):
-    assert _speedups.ascent_pattern_counts(n) == _kernels_py.ascent_pattern_counts(n)
-    assert _speedups.wex_crossing_counts(n) == _kernels_py.wex_crossing_counts(n)
-    assert _speedups.vincular_classical_joint(n) == _kernels_py.vincular_classical_joint(n)
+def test_labelled_and_core_sums_match_paths(n):
+    for restricted, bulk in (
+        (False, paths.labelled_path_sum(n)),
+        (True, paths.core_signed_sum(n)),
+    ):
+        total = ZERO
+        for p in paths.iter_labelled_paths(n, restricted):
+            total = total + p.weight()
+        assert total == bulk, (n, restricted)
 
 
-@needs_compiled
-@pytest.mark.parametrize("n", range(1, 6))
-def test_matching_hist_agrees(n):
-    assert _speedups.matching_crossing_hist(n) == _kernels_py.matching_crossing_hist(n)
+@pytest.mark.parametrize("n", range(0, 7))
+def test_core_z_series_matches_paths(n):
+    want: dict = {}
+    for p in paths.iter_labelled_paths(n, restricted=True):
+        z = sum(1 for _, starred in p.steps if starred)
+        ((eq, ey, c),) = p.weight().terms()
+        want[(z, eq, ey)] = want.get((z, eq, ey), 0) + c
+    got = {(z, eq, ey): c for z, eq, ey, c in paths._core_z_series(n)}
+    assert got == {k: c for k, c in want.items() if c}
 
 
-@needs_compiled
 @pytest.mark.parametrize("n", range(1, 8))
-@pytest.mark.parametrize("restricted", (False, True))
-def test_signed_path_tables_agree(n, restricted):
-    assert _speedups.signed_path_table(n, restricted) == _kernels_py.signed_path_table(
-        n, restricted
-    )
+def test_permutation_tables_match_definitions(n):
+    asc = [[0] * (n * (n - 1) // 2 + 1) for _ in range(n)]
+    wex = [[0] * (n * (n - 1) // 2 + 1) for _ in range(n + 1)]
+    for w in permstats.iter_permutations(n):
+        asc[permstats.ascents(w)][permstats.pattern_13_2(w)] += 1
+        wex[permstats.weak_exceedances(w)][permstats.crossings(w)] += 1
+    assert kernels.ascent_pattern_counts(n) == asc
+    assert kernels.wex_crossing_counts(n) == wex
 
 
-@needs_compiled
-@pytest.mark.parametrize("n", range(0, 8))
-def test_left_factor_counts_agree(n):
-    assert _speedups.left_factor_counts(n) == _kernels_py.left_factor_counts(n)
-
-
-def test_pure_fallback_forced_by_env(tmp_path):
-    import os
-    import subprocess
-    import sys
-
-    # Inherit the environment (PYTHONPATH may be how pasep is found) and
-    # override only the variable under test.
-    out = subprocess.run(
-        [sys.executable, "-c", "import pasep; print(pasep.BACKEND)"],
-        env=dict(os.environ, PASEP_PURE_PYTHON="1"),
-        capture_output=True,
-        text=True,
-    )
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "python"
+@pytest.mark.parametrize("n", range(1, 9))
+def test_classical_tail_matches_joint_histogram(n):
+    full = [0] * (n * (n - 1) * (n - 2) // 6 + 4)
+    for row in kernels.vincular_classical_joint(n):
+        for c, v in enumerate(row):
+            full[c] += v
+    for k in range(4):
+        assert permstats.classical_tail(n, k) == tuple(full[: k + 1]), (n, k)
+        assert permstats.psi(k, n) == sum(full[: k + 1])
 
 
 def test_table_totals_are_factorials():
-    import math
-
     for n in range(1, 7):
         total = sum(sum(row) for row in kernels.ascent_pattern_counts(n))
         assert total == math.factorial(n)
@@ -81,10 +67,10 @@ def test_table_totals_are_factorials():
         assert total == math.factorial(n)
 
 
-def test_benchmark_smoke(capsys):
-    from pasep import benchmark
-
-    rc = benchmark.main([])
-    out = capsys.readouterr().out
-    assert rc == 0
-    assert "kernel" in out and "pure (s)" in out
+def test_signed_path_cap():
+    n = kernels.SIGNED_PATH_CAP
+    assert kernels.signed_path_table(n, True)[0][0] == (-1) ** n
+    with pytest.raises(ValueError):
+        kernels.signed_path_table(n + 1, False)
+    with pytest.raises(ValueError):
+        paths.labelled_path_sum(n + 1)
