@@ -40,9 +40,6 @@ class OperatorMatrix:
         self.dim = n
         self.rows = rows
 
-    def entry(self, i: int, j: int) -> LaurentPoly:
-        return self.rows[i][j]
-
     def __eq__(self, other):
         return isinstance(other, OperatorMatrix) and self.rows == other.rows
 
@@ -80,19 +77,6 @@ class OperatorMatrix:
                 ]
             )
         return OperatorMatrix(out)
-
-    def power(self, k: int) -> "OperatorMatrix":
-        result = identity(self.dim)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
-
-    def to_lists(self):
-        return [[e.to_json_obj() for e in row] for row in self.rows]
 
 
 def identity(n: int) -> OperatorMatrix:
@@ -229,7 +213,6 @@ def verify_hat_relations(n: int) -> CheckReport:
 
 def verify_inversion(
     n: int,
-    dim: int | None = None,
     printed_eq5: bool = False,
     y: LaurentPoly | int | None = None,
 ) -> CheckReport:
@@ -240,10 +223,10 @@ def verify_inversion(
 
     ``printed_eq5=True`` replaces the final factor of the second identity by
     (D+E)^k; that variant is wrong for y != 1 and is kept only so tests can
-    demonstrate the failure.  Entries are compared on indices < dim - n.
+    demonstrate the failure.  The matrices are truncated at dimension n + 4
+    and entries are compared on indices < 4.
     """
-    if dim is None:
-        dim = n + 4
+    dim = n + 4
     yv: LaurentPoly = Y if y is None else (
         LaurentPoly.from_int(y) if isinstance(y, int) else y
     )

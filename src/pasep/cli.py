@@ -16,7 +16,6 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import ansatz, closedforms, crosscheck, kernels, paths, permstats, rooks
@@ -27,30 +26,14 @@ METHOD_CAPS = {
     "matrix": 40,
     "motzkin": 64,
     "signed-paths": kernels.SIGNED_PATH_CAP,
-    "rooks": 9,
+    "rooks": rooks.ROOK_CAP,
     "theorem1": 64,
     "williams": 64,
-    "permutations-ascent": 9,
-    "permutations-crossing": 9,
+    "permutations-ascent": kernels.PERMUTATION_CAP,
+    "permutations-crossing": kernels.PERMUTATION_CAP,
 }
 
 CROSSCHECK_CAP = 9
-
-
-class CapExceeded(Exception):
-    pass
-
-
-@dataclass
-class RunConfig:
-    command: str
-    n: int | None = None
-    n_range: tuple[int, int] | None = None
-    method: str | None = None
-    fmt: str = "pretty"
-    q: Fraction | None = None
-    y: Fraction | None = None
-    coeff: tuple[int, int] | None = None
 
 
 def _method_matrix(n: int) -> LaurentPoly:
@@ -137,10 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cc.add_argument("--format", choices=("json", "csv", "pretty"), default="pretty")
 
     p_tab = sub.add_parser("table", help="coefficient table over a size range")
-    p_tab.add_argument("range", nargs="?", type=_parse_range, default=None,
-                       help="sizes, e.g. 1..8")
-    p_tab.add_argument("--range", dest="range_flag", type=_parse_range, default=None,
-                       help="alternative spelling of the positional range")
+    p_tab.add_argument("range", type=_parse_range, help="sizes, e.g. 1..8")
     p_tab.add_argument("--coeff", type=_parse_coeff, default=(0, 3),
                        help="q-coefficient column(s), e.g. q1 or q0..q3")
     p_tab.add_argument("--format", choices=("json", "csv", "pretty"), default="csv")
@@ -159,38 +139,37 @@ def _print_poly(p: LaurentPoly, fmt: str) -> None:
             print(f"{eq},{ey},{c}")
 
 
-def cmd_eval(cfg: RunConfig) -> int:
-    cap = METHOD_CAPS[cfg.method]
-    if cfg.n > cap:
+def cmd_eval(
+    method: str, n: int, q: Fraction | None, y: Fraction | None, fmt: str
+) -> int:
+    cap = METHOD_CAPS[method]
+    if n > cap:
         print(
-            f"error: method {cfg.method} is capped at n <= {cap} (got n={cfg.n})",
+            f"error: method {method} is capped at n <= {cap} (got n={n})",
             file=sys.stderr,
         )
         return 3
-    if cfg.n < 1:
+    if n < 1:
         print("error: n must be >= 1", file=sys.stderr)
         return 2
-    poly = METHODS[cfg.method](cfg.n)
-    if cfg.q is not None:
-        q = int(cfg.q) if cfg.q.denominator == 1 else cfg.q
-        poly = poly.eval_q(q)
-    if cfg.y is not None:
-        yv = int(cfg.y) if cfg.y.denominator == 1 else cfg.y
-        poly = poly.eval_y(yv)
-    _print_poly(poly, cfg.fmt)
+    poly = METHODS[method](n)
+    if q is not None:
+        poly = poly.eval_q(int(q) if q.denominator == 1 else q)
+    if y is not None:
+        poly = poly.eval_y(int(y) if y.denominator == 1 else y)
+    _print_poly(poly, fmt)
     return 0
 
 
-def cmd_crosscheck(cfg: RunConfig) -> int:
-    if cfg.n_range[1] > CROSSCHECK_CAP:
+def cmd_crosscheck(n_max: int, fmt: str) -> int:
+    if n_max > CROSSCHECK_CAP:
         print(f"error: crosscheck is capped at n-max <= {CROSSCHECK_CAP}", file=sys.stderr)
         return 3
-    n_max = cfg.n_range[1]
     t0 = time.monotonic()
     reports = crosscheck.run_all(n_max)
     elapsed = time.monotonic() - t0
     failed = [r for r in reports if not r.ok]
-    if cfg.fmt == "json":
+    if fmt == "json":
         print(
             json.dumps(
                 {
@@ -204,7 +183,7 @@ def cmd_crosscheck(cfg: RunConfig) -> int:
                 separators=(",", ":"),
             )
         )
-    elif cfg.fmt == "csv":
+    elif fmt == "csv":
         print("name,ok")
         for r in reports:
             print(f"{r.name},{int(r.ok)}")
@@ -219,12 +198,12 @@ def cmd_crosscheck(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_table(cfg: RunConfig) -> int:
-    lo, hi = cfg.n_range
+def cmd_table(n_range: tuple[int, int], coeff: tuple[int, int], fmt: str) -> int:
+    lo, hi = n_range
     if hi > METHOD_CAPS["theorem1"]:
         print(f"error: table is capped at n <= {METHOD_CAPS['theorem1']}", file=sys.stderr)
         return 3
-    clo, chi = cfg.coeff
+    clo, chi = coeff
     names = [f"q{m}" for m in range(clo, chi + 1)]
     sizes = list(range(lo, hi + 1))
 
@@ -234,7 +213,7 @@ def cmd_table(cfg: RunConfig) -> int:
 
     rows = [row(n) for n in sizes]
 
-    if cfg.fmt == "json":
+    if fmt == "json":
         print(
             json.dumps(
                 {
@@ -244,7 +223,7 @@ def cmd_table(cfg: RunConfig) -> int:
                 separators=(",", ":"),
             )
         )
-    elif cfg.fmt == "pretty":
+    elif fmt == "pretty":
         header = ["n"] + names
         grid = [header] + [[str(v) for v in [n] + r] for n, r in zip(sizes, rows)]
         widths = [max(len(row[i]) for row in grid) for i in range(len(header))]
@@ -261,33 +240,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "eval":
-        cfg = RunConfig(
-            command="eval",
-            n=args.n,
-            method=args.method,
-            fmt=args.format,
-            q=args.q,
-            y=args.y,
-        )
-        return cmd_eval(cfg)
+        return cmd_eval(args.method, args.n, args.q, args.y, args.format)
     if args.command == "crosscheck":
-        cfg = RunConfig(
-            command="crosscheck",
-            n_range=(1, args.n_max),
-            fmt=args.format,
-        )
-        return cmd_crosscheck(cfg)
-    n_range = args.range_flag if args.range_flag is not None else args.range
-    if n_range is None:
-        print("error: table needs a size range (positional or --range)", file=sys.stderr)
-        return 2
-    cfg = RunConfig(
-        command="table",
-        n_range=n_range,
-        coeff=args.coeff,
-        fmt=args.format,
-    )
-    return cmd_table(cfg)
+        return cmd_crosscheck(args.n_max, args.format)
+    return cmd_table(args.range, args.coeff, args.format)
 
 
 if __name__ == "__main__":

@@ -9,7 +9,7 @@ clamped to their own feasibility caps, so a single n_max steers everything.
 from __future__ import annotations
 
 from .laurent import ONE, Q, Y, ZERO, LaurentPoly
-from . import ansatz, closedforms, paths, permstats, rooks
+from . import ansatz, closedforms, kernels, paths, permstats, rooks
 from .qcombinat import binomial
 from .report import CheckReport
 
@@ -45,7 +45,7 @@ def check_motzkin_vs_theorem1(n_max: int) -> CheckReport:
 
 
 def check_permutations_ascent_vs_theorem1(n_max: int) -> CheckReport:
-    n_max = min(n_max, 9)
+    n_max = min(n_max, kernels.PERMUTATION_CAP)
     return _equal_for(
         "permutations-ascent vs theorem1",
         [
@@ -60,7 +60,7 @@ def check_permutations_ascent_vs_theorem1(n_max: int) -> CheckReport:
 
 
 def check_permutations_crossing_vs_theorem1(n_max: int) -> CheckReport:
-    n_max = min(n_max, 9)
+    n_max = min(n_max, kernels.PERMUTATION_CAP)
     return _equal_for(
         "permutations-crossing vs theorem1",
         [
@@ -278,7 +278,7 @@ def check_boundary_reconciliation(n_max: int) -> CheckReport:
 def check_rook_route_vs_theorem1(n_max: int) -> CheckReport:
     """Exhaustive rook sums, fed through the first inversion formula, must
     reproduce the partition polynomial."""
-    n_max = min(n_max, 9)
+    n_max = min(n_max, rooks.ROOK_CAP)
     return _equal_for(
         "rooks vs theorem1",
         [

@@ -17,6 +17,9 @@ BACKEND = "python"
 # Largest path length the signed-path table (and the signed-paths route) takes.
 SIGNED_PATH_CAP = 24
 
+# Largest n the ascent and crossing tables (and the permutation routes) take.
+PERMUTATION_CAP = 9
+
 
 def ascent_pattern_counts(n: int) -> list[list[int]]:
     """counts[a][p] = #permutations of n with a ascents and p vincular 13-2 patterns.
@@ -27,8 +30,8 @@ def ascent_pattern_counts(n: int) -> list[list[int]]:
     ascent and one occurrence for each value strictly between a and b that
     is still unused, since that value must come later.
     """
-    if not 1 <= n <= 12:
-        raise ValueError("n must be in 1..12")
+    if not 1 <= n <= PERMUTATION_CAP:
+        raise ValueError(f"n must be in 1..{PERMUTATION_CAP}")
     width = n * (n - 1) // 2 + 1  # a histogram key is asc * width + pat
     full = (1 << n) - 1
     layer = {(1 << (v - 1), v): {0: 1} for v in range(1, n + 1)}
@@ -63,8 +66,8 @@ def wex_crossing_counts(n: int) -> list[list[int]]:
     Every permutation is visited, built position by position; each pair of
     positions is counted when its later position is filled.
     """
-    if not 1 <= n <= 12:
-        raise ValueError("n must be in 1..12")
+    if not 1 <= n <= PERMUTATION_CAP:
+        raise ValueError(f"n must be in 1..{PERMUTATION_CAP}")
     cmax = n * (n - 1) // 2
     counts = [[0] * (cmax + 1) for _ in range(n + 1)]
 

@@ -19,7 +19,10 @@ Two weight schemes appear:
 
 ``decompose`` factors any labelled path into an unlabelled prefix (a left
 factor, recorded over the same four step kinds) and a core path, and
-``recompose`` inverts it.  Left factors are also counted two independent
+``recompose`` inverts it.  The core is the starred steps plus the plain NE
+and SE steps left unmatched when plain NE/SE are matched like brackets
+within their run of plain steps; the left factor is the path with each core
+step replaced by NE.  Left factors are also counted two independent
 ways: by a height transfer and through non-intersecting lattice-path pairs.
 
 Step serialisation: U (NE), D (SE), F1, F2, with a trailing ``*`` marking a
@@ -63,14 +66,6 @@ class LabeledMotzkinPath:
 
     def __len__(self):
         return len(self.steps)
-
-    def start_heights(self) -> list[int]:
-        out = []
-        h = 0
-        for kind, _ in self.steps:
-            out.append(h)
-            h += _RISE[kind]
-        return out
 
     def weight(self) -> LaurentPoly:
         """The product of the per-step labelled weights, a signed monomial."""
@@ -250,75 +245,60 @@ def core_closed_form(k: int) -> LaurentPoly:
 # -- decomposition bijection --------------------------------------------------
 
 
-def _max_closed_prefix(steps, start: int, need_plain: bool) -> int:
-    """Length of the longest closed-above prefix of steps[start:].
-
-    Considered steps must be plain when need_plain is set; the prefix must
-    return to its starting height and never dip below it.
-    """
-    h = 0
-    best = 0
-    i = start
-    while i < len(steps):
-        step = steps[i]
-        if need_plain:
-            kind, starred = step
-            if starred:
-                break
-        else:
-            kind = step
-        h += _RISE[kind]
-        if h < 0:
-            break
-        i += 1
-        if h == 0:
-            best = i - start
-    return best
-
-
 def decompose(
     p: LabeledMotzkinPath,
 ) -> tuple[tuple[str, ...], LabeledMotzkinPath]:
     """Split p into an unlabelled left factor and its core path.
 
-    Greedily peel maximal plain sub-paths that close at their own starting
-    height; the single steps left over, joined in order, form the core, and
-    replacing each of them by NE in p gives the left factor.
+    Plain NE and SE steps are matched like brackets within each run of plain
+    steps.  The core is the starred steps together with the plain NE and SE
+    steps left unmatched in their run, joined in order; replacing each of
+    them by NE in p gives the left factor.  This is the same as greedily
+    peeling maximal plain sub-paths that close at their own starting height.
     """
-    left: list[str] = []
-    core: list[tuple[str, bool]] = []
-    i = 0
     steps = p.steps
-    while i < len(steps):
-        d = _max_closed_prefix(steps, i, need_plain=True)
-        left.extend(kind for kind, _ in steps[i : i + d])
-        i += d
-        if i < len(steps):
-            core.append(steps[i])
-            left.append(NE)
-            i += 1
-    return tuple(left), LabeledMotzkinPath(tuple(core))
+    in_core = [False] * len(steps)
+    open_ne: list[int] = []  # positions of the plain NEs not yet matched
+    for i, (kind, starred) in enumerate(steps):
+        if starred:
+            in_core[i] = True
+            for j in open_ne:
+                in_core[j] = True
+            open_ne.clear()
+        elif kind == NE:
+            open_ne.append(i)
+        elif kind == SE:
+            if open_ne:
+                open_ne.pop()
+            else:
+                in_core[i] = True
+    # open_ne is empty here: the last plain run of a closed path ends at
+    # height 0, so each of its NEs is matched.
+    left = tuple(NE if c else kind for (kind, _), c in zip(steps, in_core))
+    core = tuple(step for step, c in zip(steps, in_core) if c)
+    return left, LabeledMotzkinPath(core)
 
 
 def recompose(
     left: tuple[str, ...], core: LabeledMotzkinPath
 ) -> LabeledMotzkinPath:
-    """Inverse of decompose; raises ValueError if (left, core) is not an image."""
-    out: list[tuple[str, bool]] = []
-    i = 0
-    ci = 0
-    while i < len(left):
-        d = _max_closed_prefix(left, i, need_plain=False)
-        out.extend((kind, False) for kind in left[i : i + d])
-        i += d
-        if i < len(left):
-            if left[i] != NE or ci >= len(core):
+    """Inverse of decompose; raises ValueError if (left, core) is not an image.
+
+    The NEs of left that no SE matches are the core's slots, in order.
+    """
+    slots: list[int] = []
+    for i, kind in enumerate(left):
+        if kind == NE:
+            slots.append(i)
+        elif kind == SE:
+            if not slots:
                 raise ValueError("not a valid (left factor, core) pair")
-            out.append(core.steps[ci])
-            ci += 1
-            i += 1
-    if ci != len(core):
-        raise ValueError("core longer than the left factor allows")
+            slots.pop()
+    if len(slots) != len(core):
+        raise ValueError("core length does not match the left factor")
+    out = [(kind, False) for kind in left]
+    for i, step in zip(slots, core.steps):
+        out[i] = step
     return LabeledMotzkinPath(tuple(out))
 
 

@@ -17,8 +17,6 @@ from itertools import permutations
 from . import kernels
 from .laurent import LaurentPoly
 
-STAT_PAIRS = ("ascent_pattern", "wex_crossing")
-
 
 def _check_perm(w) -> int:
     n = len(w)
@@ -87,10 +85,9 @@ def gen_polynomial(n: int, stat_pair: str) -> LaurentPoly:
 
     "ascent_pattern": sum of y^(1+ascents) q^(13-2 occurrences);
     "wex_crossing":  sum of y^(weak exceedances) q^(crossings).
-    Both equal the partition polynomial of size n.
+    Both equal the partition polynomial of size n; the kernels cap n at
+    kernels.PERMUTATION_CAP.
     """
-    if not 1 <= n <= 10:
-        raise ValueError("exhaustive permutation enumeration supports n <= 10")
     if stat_pair == "ascent_pattern":
         table = kernels.ascent_pattern_counts(n)
         terms = {
@@ -209,7 +206,6 @@ def matching_crossings(pairs) -> int:
 
 
 __all__ = [
-    "STAT_PAIRS",
     "ascents",
     "pattern_13_2",
     "weak_exceedances",

@@ -39,6 +39,9 @@ from .report import CheckReport
 # p = (1-q)/q^2 = q^-2 - q^-1
 P_WEIGHT = LaurentPoly.monomial(1, -2, 0) - LaurentPoly.monomial(1, -1, 0)
 
+# Largest half-perimeter the exhaustive rook sums (and the rook route) take.
+ROOK_CAP = 9
+
 
 @dataclass(frozen=True)
 class YoungBoundary:
@@ -190,8 +193,8 @@ def _profile_sum(profile) -> LaurentPoly:
 
 def rook_sum(n: int) -> LaurentPoly:
     """Sum of w(R) over all rook placements of half-perimeter n."""
-    if not 0 <= n <= 9:
-        raise ValueError("exhaustive rook enumeration supports n <= 9")
+    if not 0 <= n <= ROOK_CAP:
+        raise ValueError(f"exhaustive rook enumeration supports n <= {ROOK_CAP}")
     if n == 0:
         return ONE
     return _profile_sum(_placement_profile(n))
@@ -204,8 +207,8 @@ def hat_scalar_product(n: int) -> LaurentPoly:
 
 def column_weight_sum(j: int, k: int, n: int) -> LaurentPoly:
     """T(j,k,n): weights of placements with k columns, j of them rookless."""
-    if not 0 <= n <= 9:
-        raise ValueError("exhaustive rook enumeration supports n <= 9")
+    if not 0 <= n <= ROOK_CAP:
+        raise ValueError(f"exhaustive rook enumeration supports n <= {ROOK_CAP}")
     out = ZERO
     pr: dict[int, LaurentPoly] = {}
     for r, s, t, jj, c in _placement_profile(n):
@@ -350,8 +353,8 @@ def partition_polynomial_via_rooks(n: int) -> LaurentPoly:
     """The partition polynomial of size n evaluated by the rook route:
     exhaustive rook sums for every power up to n-1, combined through the
     first inversion formula and divided by (1-q)^(n-1)."""
-    if not 1 <= n <= 9:
-        raise ValueError("rook route supports 1 <= n <= 9")
+    if not 1 <= n <= ROOK_CAP:
+        raise ValueError(f"rook route supports 1 <= n <= {ROOK_CAP}")
     k_max = n - 1
     total = ZERO
     for k in range(k_max + 1):

@@ -90,7 +90,7 @@ def test_signed_paths_at_cap(capsys):
 
 def test_removed_flags_rejected():
     for verb in (["eval", "--method", "theorem1", "-n", "3"], ["crosscheck"], ["table", "1..3"]):
-        for flag in ("--threads", "--seed"):
+        for flag in ("--threads", "--seed", "--range"):
             with pytest.raises(SystemExit) as exc:
                 run_cli(verb + [flag, "1"])
             assert exc.value.code == 2

@@ -5,7 +5,7 @@ import math
 import pytest
 
 import pasep
-from pasep import kernels, paths, permstats
+from pasep import cli, kernels, paths, permstats
 from pasep.laurent import ZERO
 
 
@@ -74,3 +74,19 @@ def test_signed_path_cap():
         kernels.signed_path_table(n + 1, False)
     with pytest.raises(ValueError):
         paths.labelled_path_sum(n + 1)
+
+
+def test_permutation_cap(capsys):
+    n = kernels.PERMUTATION_CAP
+    for kernel in (kernels.ascent_pattern_counts, kernels.wex_crossing_counts):
+        with pytest.raises(ValueError):
+            kernel(n + 1)
+    for method, stat_pair in (
+        ("permutations-ascent", "ascent_pattern"),
+        ("permutations-crossing", "wex_crossing"),
+    ):
+        with pytest.raises(ValueError):
+            permstats.gen_polynomial(n + 1, stat_pair)
+        assert cli.METHOD_CAPS[method] == n
+        assert cli.main(["eval", "--method", method, "-n", str(n + 1)]) == 3
+        assert "capped" in capsys.readouterr().err

@@ -96,6 +96,65 @@ def test_decompose_examples():
     left, core = paths.decompose(p)
     assert left == (paths.NE,)
     assert core.steps == ((paths.E2, True),)
+    # (path, left factor, core): each kind of core step under bracket matching
+    cases = [
+        # the first plain U is unmatched when the starred step ends its run
+        ("U U D F1* D", "U U D U U", "U F1* D"),
+        # a plain D with no open plain U in its run
+        ("U* U D D", "U U D U", "U* D"),
+        # a plain F1 inside a run stays in the left factor
+        ("U F1 U D F2* D", "U F1 U D U U", "U F2* D"),
+        # a plain U still open when the path ends with a starred step
+        ("U D*", "U U", "U D*"),
+    ]
+    kind = {"U": paths.NE, "D": paths.SE, "F1": paths.E1, "F2": paths.E2}
+    for text, left_text, core_text in cases:
+        p = paths.LabeledMotzkinPath.parse(text)
+        left, core = paths.decompose(p)
+        assert left == tuple(kind[t] for t in left_text.split()), text
+        assert core.serialize() == core_text, text
+        assert paths.recompose(left, core) == p
+
+
+def test_recompose_rejects_non_images():
+    core = paths.LabeledMotzkinPath.parse("F2*")
+    with pytest.raises(ValueError):  # the left factor dips below the axis
+        paths.recompose((paths.NE, paths.SE, paths.SE, paths.NE), core)
+    with pytest.raises(ValueError):  # two core slots, one core step
+        paths.recompose((paths.NE, paths.NE), core)
+    with pytest.raises(ValueError):  # no core slot, one core step
+        paths.recompose((paths.NE, paths.SE), core)
+
+
+def test_decompose_is_greedy_closed_prefix_peeling():
+    """decompose against the rule it implements, written out directly: peel the
+    longest plain prefix that closes at its starting height, then take one
+    step into the core, and repeat."""
+    rise = {paths.NE: 1, paths.SE: -1, paths.E1: 0, paths.E2: 0}
+
+    def reference(p):
+        steps = p.steps
+        left, core, i = [], [], 0
+        while i < len(steps):
+            h = closed = 0
+            for d, (kind, starred) in enumerate(steps[i:], start=1):
+                h += rise[kind]
+                if starred or h < 0:
+                    break
+                if h == 0:
+                    closed = d
+            left.extend(kind for kind, _ in steps[i : i + closed])
+            i += closed
+            if i < len(steps):
+                core.append(steps[i])
+                left.append(paths.NE)
+                i += 1
+        return tuple(left), tuple(core)
+
+    for n in range(1, 7):
+        for p in paths.iter_labelled_paths(n):
+            left, core = paths.decompose(p)
+            assert (left, core.steps) == reference(p), p.serialize()
 
 
 def test_decompose_roundtrip_exhaustive():

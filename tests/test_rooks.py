@@ -5,7 +5,7 @@ from itertools import permutations
 
 import pytest
 
-from pasep import rooks
+from pasep import cli, rooks
 from pasep.laurent import ONE, Q, Y, ZERO, LaurentPoly
 
 
@@ -167,3 +167,17 @@ def test_partition_polynomial_via_rooks():
 
     for n in range(1, 7):
         assert rooks.partition_polynomial_via_rooks(n) == closedforms.partition_polynomial(n)
+
+
+def test_rook_cap(capsys):
+    n = rooks.ROOK_CAP
+    for call in (
+        lambda: rooks.rook_sum(n + 1),
+        lambda: rooks.column_weight_sum(0, 1, n + 1),
+        lambda: rooks.partition_polynomial_via_rooks(n + 1),
+    ):
+        with pytest.raises(ValueError):
+            call()
+    assert cli.METHOD_CAPS["rooks"] == n
+    assert cli.main(["eval", "--method", "rooks", "-n", str(n + 1)]) == 3
+    assert "capped" in capsys.readouterr().err
