@@ -157,13 +157,17 @@ def scalar_products_upto(m: OperatorMatrix, k_max: int) -> list[LaurentPoly]:
         )
     n = m.dim
     w, v = boundary_vectors(n)
+    # Row i of m as its nonzero entries only: (column, entry) pairs.
+    nonzero = [[(j, e) for j, e in enumerate(row) if not e.is_zero] for row in m.rows]
     vec = list(w)
     out = [sum((a * b for a, b in zip(vec, v)), ZERO)]
     for _ in range(k_max):
-        vec = [
-            sum((vec[i] * m.rows[i][j] for i in range(n) if not vec[i].is_zero), ZERO)
-            for j in range(n)
-        ]
+        nxt = [ZERO] * n
+        for x, row in zip(vec, nonzero):
+            if not x.is_zero:
+                for j, e in row:
+                    nxt[j] = nxt[j] + x * e
+        vec = nxt
         out.append(sum((a * b for a, b in zip(vec, v)), ZERO))
     return out
 

@@ -24,7 +24,7 @@ import mpmath
 
 from .laurent import ONE, Q, Y, ZERO, LaurentPoly
 from .paths import core_closed_form
-from .qcombinat import binomial, catalan, q_int
+from .qcombinat import binomial, catalan
 from .report import CheckReport
 
 
@@ -68,6 +68,17 @@ def partition_polynomial_y1(n: int) -> LaurentPoly:
     return num.exact_div((ONE - Q) ** n)
 
 
+@lru_cache(maxsize=None)
+def _q_int_power(j: int, n: int) -> LaurentPoly:
+    """[j]_q^n, shared by every (m, i) with m - i = j.
+
+    Computed as (1 - q^j)^n / (1 - q)^n: the binomial expansion, then n
+    prefix-sum passes, far cheaper than squaring the dense [j]_q.
+    """
+    num = LaurentPoly({(j * i, 0): (-1) ** i * binomial(n, i) for i in range(n + 1)})
+    return num.exact_div((ONE - Q) ** n)
+
+
 def y_coefficient_formula(m: int, n: int) -> LaurentPoly:
     """Closed form for the coefficient of y^m in the partition polynomial:
 
@@ -77,12 +88,13 @@ def y_coefficient_formula(m: int, n: int) -> LaurentPoly:
         raise ValueError("need 1 <= m <= n")
     total = ZERO
     for i in range(m):
-        piece = q_int(m - i) ** n * (
+        # The two-term factor takes the sign and the shift, so the large
+        # power is multiplied once.
+        factor = (
             LaurentPoly.monomial(binomial(n, i), m - i, 0)
             + LaurentPoly.from_int(binomial(n, i - 1))
-        )
-        piece = piece * LaurentPoly.monomial(1, m * i - m * m, 0)
-        total = total + (piece if i % 2 == 0 else -piece)
+        ) * LaurentPoly.monomial((-1) ** i, m * i - m * m, 0)
+        total = total + _q_int_power(m - i, n) * factor
     return total
 
 

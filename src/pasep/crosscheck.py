@@ -140,7 +140,8 @@ def check_decompose_roundtrip(n_max: int) -> CheckReport:
             if paths.recompose(left, core) != p:
                 violations.append(f"round trip failed for {p.serialize()}")
             j = sum(1 for kind in left if kind in (paths.SE, paths.E1))
-            if LaurentPoly.monomial(1, 0, j) * core.weight() != p.weight():
+            sign, e_q, e_y = core.signed_exponents()
+            if (sign, e_q, e_y + j) != p.signed_exponents():
                 violations.append(f"weight split failed for {p.serialize()}")
     return CheckReport("decomposition round-trip", not violations, violations)
 

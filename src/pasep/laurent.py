@@ -12,14 +12,26 @@ rational value for a variable (``eval_q`` / ``eval_y``) may produce
 to ``int``.
 
 Values are immutable after construction, so they are safe to share freely.
+
+Large products and divisions by powers of (1 - q) work on dense rows: the
+terms of one power of y as a q offset and a list of coefficients, combined by
+C-level slice arithmetic (``map``/``accumulate``) instead of per-term dict
+updates.  The term map stays the one representation between operations.
 """
 
 from __future__ import annotations
 
 import heapq
 import json
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, compress, repeat
+from math import comb
+from operator import add, mul, neg
+
+# A product with at least this many term pairs is computed on dense rows.
+_DENSE_CUTOFF = 64
 
 
 class NotDivisible(ArithmeticError):
@@ -115,8 +127,11 @@ class LaurentPoly:
         other = LaurentPoly._coerce(other)
         if other is None:
             return NotImplemented
-        out = dict(self._terms)
-        for k, c in other._terms.items():
+        a, b = self._terms, other._terms
+        if len(a) < len(b):
+            a, b = b, a
+        out = dict(a)
+        for k, c in b.items():
             v = out.get(k, 0) + c
             if v:
                 out[k] = v
@@ -146,6 +161,8 @@ class LaurentPoly:
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         a, b = self._terms, other._terms
+        if len(a) * len(b) >= _DENSE_CUTOFF:
+            return LaurentPoly._raw(_dense_mul(a, b))
         if len(a) > len(b):
             a, b = b, a
         out = {}
@@ -169,8 +186,9 @@ class LaurentPoly:
         while k:
             if k & 1:
                 result = result * base
-            base = base * base
             k >>= 1
+            if k:
+                base = base * base
         return result
 
     def __eq__(self, other):
@@ -195,6 +213,35 @@ class LaurentPoly:
             raise ZeroDivisionError("division by zero polynomial")
         if self.is_zero:
             return ZERO
+        bb = other.bounds()
+        k = len(other) - 1
+        sign = other.coeff(bb.q_min, bb.y_min)
+        if sign in (1, -1) and all(
+            other.coeff(bb.q_min + i, bb.y_min) == sign * (-1) ** i * comb(k, i)
+            for i in range(k + 1)
+        ):
+            return self._div_one_minus_q_power(k, sign, bb.q_min, bb.y_min)
+        return self._heap_div(other)
+
+    def _div_one_minus_q_power(self, k: int, sign: int, q_shift: int, y_shift: int):
+        """self / (sign * q^q_shift * y^y_shift * (1-q)^k), for sign = +-1.
+
+        Dividing a q-row by (1 - q) takes its prefix sums; the division is
+        exact exactly when the last prefix sum (the row sum) is zero.
+        """
+        out = {}
+        for ey, (lo, row) in _rows(self._terms).items():
+            for _ in range(k):
+                row = list(accumulate(row))
+                if row.pop():
+                    raise NotDivisible(
+                        f"no exact quotient (y^{ey} row is not divisible by (1-q)^{k})"
+                    )
+            out[ey - y_shift] = (lo - q_shift, row if sign == 1 else list(map(neg, row)))
+        return LaurentPoly._raw(_terms_from_rows(out))
+
+    def _heap_div(self, other: "LaurentPoly") -> "LaurentPoly":
+        """Exact quotient by general long division on a max-heap of terms."""
         ab, bb = self.bounds(), other.bounds()
         # Shift both operands to plain polynomials; undo the shift at the end.
         shift = (ab.q_min - bb.q_min, ab.y_min - bb.y_min)
@@ -360,6 +407,54 @@ def _q_poly_str(qterms: dict) -> str:
     for p in parts[1:]:
         out += " - " + p[1:] if p.startswith("-") else " + " + p
     return out
+
+
+def _rows(terms: dict) -> dict:
+    """The terms grouped by power of y: e_y -> (q offset, dense coefficients)."""
+    by_y = defaultdict(dict)
+    for (eq, ey), c in terms.items():
+        by_y[ey][eq] = c
+    rows = {}
+    for ey, group in by_y.items():
+        lo = min(group)
+        rows[ey] = (lo, list(map(group.get, range(lo, max(group) + 1), repeat(0))))
+    return rows
+
+
+def _dense_mul(a: dict, b: dict) -> dict:
+    """The term map of a * b, convolving each pair of y-rows by slice-adds."""
+    rows_a, rows_b = _rows(a), _rows(b)
+    spans: dict = {}  # product e_y -> (lowest, highest) q exponent reached
+    for ya, (la, ra) in rows_a.items():
+        for yb, (lb, rb) in rows_b.items():
+            lo, hi = la + lb, la + lb + len(ra) + len(rb) - 2
+            span = spans.get(ya + yb)
+            if span is not None:
+                lo, hi = min(lo, span[0]), max(hi, span[1])
+            spans[ya + yb] = (lo, hi)
+    acc = {ey: [0] * (hi - lo + 1) for ey, (lo, hi) in spans.items()}
+    for ya, (la, ra) in rows_a.items():
+        for yb, (lb, rb) in rows_b.items():
+            ey = ya + yb
+            out = acc[ey]
+            start = la + lb - spans[ey][0]
+            short, long = (ra, rb) if len(ra) <= len(rb) else (rb, ra)
+            width = len(long)
+            for i, c in enumerate(short, start):
+                if c == 1:
+                    out[i:i + width] = map(add, out[i:i + width], long)
+                elif c:
+                    out[i:i + width] = map(add, out[i:i + width], map(mul, long, repeat(c)))
+    return _terms_from_rows({ey: (spans[ey][0], out) for ey, out in acc.items()})
+
+
+def _terms_from_rows(rows: dict) -> dict:
+    """The inverse of _rows: the nonzero entries as a term map."""
+    terms: dict = {}
+    for ey, (lo, row) in rows.items():
+        keys = zip(range(lo, lo + len(row)), repeat(ey))
+        terms.update(compress(zip(keys, row), row))
+    return terms
 
 
 ZERO = LaurentPoly._raw({})

@@ -33,6 +33,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate, chain, islice, repeat
+from operator import add, sub
 
 from . import kernels
 from .laurent import ONE, Q, Y, ZERO, LaurentPoly
@@ -69,6 +71,10 @@ class LabeledMotzkinPath:
 
     def weight(self) -> LaurentPoly:
         """The product of the per-step labelled weights, a signed monomial."""
+        return LaurentPoly.monomial(*self.signed_exponents())
+
+    def signed_exponents(self) -> tuple[int, int, int]:
+        """The weight as its (sign, e_q, e_y) triple."""
         ey = eq = 0
         sign = 1
         h = 0
@@ -83,7 +89,7 @@ class LabeledMotzkinPath:
                     sign = -sign
                     eq += h
             h += _RISE[kind]
-        return LaurentPoly.monomial(sign, eq, ey)
+        return sign, eq, ey
 
     def in_core_set(self) -> bool:
         """East steps all starred, and no plain NE directly before a plain SE."""
@@ -145,14 +151,9 @@ def iter_labelled_paths(n: int, restricted: bool = False):
 
 def _window_sums(row: list[int], m: int) -> list[int]:
     """Coefficients of row(q) * (1 + q + ... + q^(m-1))."""
-    out = [0] * (len(row) + m - 1)
-    s = 0
-    for i in range(len(out)):
-        if i < len(row):
-            s += row[i]
-        if i >= m and i - m < len(row):
-            s -= row[i - m]
-        out[i] = s
+    out = list(accumulate(chain(row, repeat(0, m - 1))))
+    # Entry i of the prefix sums minus entry i - m leaves the window sum.
+    out[m:] = map(sub, islice(out, m, None), out)
     return out
 
 
@@ -161,11 +162,9 @@ def _acc(target: dict, ey: int, row: list[int]) -> None:
     if cur is None:
         target[ey] = list(row)
         return
-    if len(cur) < len(row):
-        cur.extend([0] * (len(row) - len(cur)))
-    for i, v in enumerate(row):
-        if v:
-            cur[i] += v
+    k = min(len(cur), len(row))
+    cur[:k] = map(add, cur, row)
+    cur += row[k:]
 
 
 @lru_cache(maxsize=None)
@@ -184,7 +183,7 @@ def motzkin_polynomials_upto(n: int) -> tuple[LaurentPoly, ...]:
                     down = _window_sums(row, h)  # weight [h]_q: SE and E2
                     _acc(new[h - 1], ey, down)
                     _acc(new[h], ey, down)
-        dp = new
+        dp = new[: n - step + 1]  # higher paths cannot return to 0 by step n
         results.append(
             LaurentPoly(
                 {

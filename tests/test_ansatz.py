@@ -34,6 +34,23 @@ def test_scalar_product_examples():
     assert catalan3.to_int() == 5
 
 
+def test_scalar_products_dense_matrix():
+    # Not tridiagonal: every entry but two is nonzero, including far corners.
+    dim = 5
+    rows = [
+        [LaurentPoly({(i, j): i - j + 2, (j, 1): 1}) for j in range(dim)]
+        for i in range(dim)
+    ]
+    rows[2][0] = ZERO
+    rows[0][3] = ZERO
+    m = ansatz.OperatorMatrix(rows)
+    got = ansatz.scalar_products_upto(m, dim - 2)
+    power = ansatz.identity(dim)
+    for k in range(dim - 1):
+        assert got[k] == power.rows[0][0], k
+        power = power * m
+
+
 def test_scalar_product_truncation_guard():
     m = ansatz.yd_plus_e(3)
     with pytest.raises(ansatz.TruncationTooSmall):

@@ -1,6 +1,7 @@
 """Ring axioms, division, substitution and serialisation of LaurentPoly."""
 
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +22,25 @@ exponents = st.integers(min_value=-8, max_value=8)
 polys = st.dictionaries(
     st.tuples(exponents, exponents), coeffs, max_size=6
 ).map(LaurentPoly)
+# Products of two of these often reach the dense-row multiply.
+large_polys = st.dictionaries(
+    st.tuples(exponents, exponents), coeffs, min_size=8, max_size=40
+).map(LaurentPoly)
+any_polys = polys | large_polys
+
+
+def naive_product(a, b):
+    """a * b term by term, the reference for both multiplication paths."""
+    out = {}
+    for ea, fa, ca in a.terms():
+        for eb, fb, cb in b.terms():
+            key = (ea + eb, fa + fb)
+            out[key] = out.get(key, 0) + ca * cb
+    return LaurentPoly(out)
+
+
+def one_minus_q_power(k):
+    return LaurentPoly({(i, 0): (-1) ** i * comb(k, i) for i in range(k + 1)})
 
 
 def test_add_examples():
@@ -96,8 +116,59 @@ def test_zero_coefficients_pruned():
     assert (Q - Q).is_zero
 
 
+def test_pow_matches_repeated_multiplication():
+    for p in (ONE + Q + Q**2, Y - 2 * Q, LaurentPoly.monomial(3, -1, 2) + ONE):
+        power = ONE
+        for k in range(10):
+            assert p**k == power
+            power = power * p
+
+
+@settings(max_examples=100, deadline=None)
+@given(any_polys, any_polys)
+def test_mul_matches_naive_product(a, b):
+    assert a * b == naive_product(a, b)
+
+
+def test_dense_mul_fraction_coefficients():
+    a = LaurentPoly({(i, 0): Fraction(1, i + 1) for i in range(10)})
+    b = LaurentPoly({(i, j): i - j for i in range(4) for j in range(4)})
+    assert len(a) * len(b) >= 64
+    assert a * b == naive_product(a, b)
+    assert b * a == naive_product(a, b)
+
+
+def test_exact_div_by_one_minus_q_power():
+    a = (Y**2 - 3 * Q) * (ONE + LaurentPoly.monomial(5, -4, -1)) + Q**7
+    for k in range(7):
+        d = one_minus_q_power(k)
+        for divisor in (d, -d, LaurentPoly.monomial(1, 3, 0) * d,
+                        LaurentPoly.monomial(-1, -2, 5) * d):
+            num = a * divisor
+            assert num.exact_div(divisor) == a
+            assert num.exact_div(divisor) == num._heap_div(divisor)
+        assert ZERO.exact_div(d) == ZERO
+
+
+def test_exact_div_negative_exponents():
+    a = LaurentPoly({(-3, -2): 4, (-1, 0): -1, (2, -1): 7})
+    d = one_minus_q_power(4)
+    assert (a * d).exact_div(d) == a
+    assert (a * d).exact_div(LaurentPoly.monomial(1, -5, 0) * d) == a * Q**5
+
+
+def test_exact_div_by_one_minus_q_power_not_divisible():
+    num = (ONE + Y + Q * Y**3) * one_minus_q_power(2)
+    assert num.exact_div(one_minus_q_power(2)) == ONE + Y + Q * Y**3
+    for d in (one_minus_q_power(3), -one_minus_q_power(3)):
+        with pytest.raises(NotDivisible):
+            num.exact_div(d)
+        with pytest.raises(NotDivisible):
+            num._heap_div(d)
+
+
 @settings(max_examples=150, deadline=None)
-@given(polys, polys, polys)
+@given(any_polys, any_polys, any_polys)
 def test_ring_axioms(a, b, c):
     assert (a + b) + c == a + (b + c)
     assert a * b == b * a
@@ -106,7 +177,7 @@ def test_ring_axioms(a, b, c):
 
 
 @settings(max_examples=150, deadline=None)
-@given(polys, polys)
+@given(any_polys, any_polys)
 def test_division_inverts_multiplication(a, b):
     if b.is_zero:
         return
