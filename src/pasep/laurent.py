@@ -213,6 +213,8 @@ class LaurentPoly:
             raise ZeroDivisionError("division by zero polynomial")
         if self.is_zero:
             return ZERO
+        # Is other +-q^a y^b (1-q)^k, i.e. k + 1 terms on one y-row carrying
+        # the signed binomial coefficients?
         bb = other.bounds()
         k = len(other) - 1
         sign = other.coeff(bb.q_min, bb.y_min)
