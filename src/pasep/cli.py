@@ -165,6 +165,9 @@ def cmd_crosscheck(n_max: int, fmt: str) -> int:
     if n_max > CROSSCHECK_CAP:
         print(f"error: crosscheck is capped at n-max <= {CROSSCHECK_CAP}", file=sys.stderr)
         return 3
+    if n_max < 1:
+        print("error: n-max must be >= 1", file=sys.stderr)
+        return 2
     t0 = time.monotonic()
     reports = crosscheck.run_all(n_max)
     elapsed = time.monotonic() - t0

@@ -18,9 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
-
-import mpmath
+from math import factorial, pi, sqrt
 
 from .laurent import ONE, Q, Y, ZERO, LaurentPoly
 from .paths import core_closed_form
@@ -204,17 +202,12 @@ def q2_y_coefficient(n: int, m: int) -> int:
     return num // den
 
 
-def asymptotic_ratio(m: int, n: int):
+def asymptotic_ratio(m: int, n: int) -> float:
     """Exact [q^m] coefficient of the y=1 polynomial divided by the growth
-    estimate 4^n n^(m-3/2) / (sqrt(pi) m!), at 60 significant digits."""
+    estimate 4^n n^(m-3/2) / (sqrt(pi) m!).  The huge factors cancel
+    exactly before the one rounding to float."""
     coeff = partition_polynomial_y1(n).coeff(m, 0)
-    with mpmath.workdps(60):
-        asym = (
-            mpmath.mpf(4) ** n
-            * mpmath.mpf(n) ** (m - mpmath.mpf(3) / 2)
-            / (mpmath.sqrt(mpmath.pi) * factorial(m))
-        )
-        return mpmath.mpf(coeff) / asym
+    return float(Fraction(coeff * factorial(m), 4**n)) * sqrt(pi) * n ** (1.5 - m)
 
 
 __all__ = [

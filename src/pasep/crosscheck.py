@@ -1,422 +1,378 @@
 """The cross-validation matrix: every method against every other.
 
-Each check is a named function of n_max returning a CheckReport.  The CLI
-`crosscheck` verb runs the whole list and fails on the first broken identity;
-the acceptance test suite drives the same functions.  Exhaustive methods are
-clamped to their own feasibility caps, so a single n_max steers everything.
+Each check is declared once, with its report name and the sizes it runs at
+for a given n_max.  Exhaustive methods stop at their own feasibility caps and
+cheap closed forms may run past n_max, so a single n_max steers everything,
+and every report records the sizes it covered.  A check body takes those
+sizes and yields one string per violation.  The CLI `crosscheck` verb runs
+the whole list; the acceptance test suite drives the same functions.
 """
 
 from __future__ import annotations
 
+import functools
+from itertools import product
+
 from .laurent import ONE, Q, Y, ZERO, LaurentPoly
 from . import ansatz, closedforms, kernels, paths, permstats, rooks
-from .qcombinat import binomial
 from .report import CheckReport
 
 
-def _equal_for(name, pairs) -> CheckReport:
-    violations = [
-        f"n={label}: {a.pretty()} != {b.pretty()}"
-        for label, a, b in pairs
-        if a != b
-    ]
-    return CheckReport(name, not violations, violations)
+def _check(name: str, sizes):
+    """Declare body(sizes) -> violations as check(n_max) -> CheckReport,
+    run at sizes(n_max)."""
+
+    def declare(body):
+        @functools.wraps(body)
+        def check(n_max: int) -> CheckReport:
+            ns = tuple(sizes(n_max))
+            violations = list(body(ns))
+            return CheckReport(name, not violations, violations, ns)
+
+        return check
+
+    return declare
 
 
-def check_matrix_vs_theorem1(n_max: int) -> CheckReport:
-    sp = ansatz.scalar_products_upto(ansatz.yd_plus_e(n_max + 2), n_max)
-    return _equal_for(
-        "matrix vs theorem1",
-        [
-            (n, Y * sp[n - 1], closedforms.partition_polynomial(n))
-            for n in range(1, n_max + 1)
-        ],
+def _upto(cap: int | None = None, start: int = 1, ahead: int = 0):
+    """Sizes start..min(n_max + ahead, cap)."""
+
+    def sizes(n_max: int) -> range:
+        top = n_max + ahead if cap is None else min(n_max + ahead, cap)
+        return range(start, top + 1)
+
+    return sizes
+
+
+def _at(cap: int):
+    """The single size min(n_max, cap)."""
+    return lambda n_max: (min(n_max, cap),)
+
+
+def _fixed(*ns: int):
+    """Sizes that do not depend on n_max."""
+    return lambda n_max: ns
+
+
+def _differ(ns, left, right):
+    """For each n where left(n) != right(n), the first differing term."""
+    for n in ns:
+        a, b = left(n), right(n)
+        if a != b:
+            e_q, e_y, _ = next((a - b).terms())
+            yield f"n={n}: q^{e_q} y^{e_y}: {a.coeff(e_q, e_y)} vs {b.coeff(e_q, e_y)}"
+
+
+@_check("matrix vs theorem1", _upto())
+def check_matrix_vs_theorem1(ns):
+    sp = ansatz.scalar_products_upto(ansatz.yd_plus_e(ns[-1] + 2), ns[-1])
+    yield from _differ(ns, lambda n: Y * sp[n - 1], closedforms.partition_polynomial)
+
+
+@_check("motzkin vs theorem1", _upto())
+def check_motzkin_vs_theorem1(ns):
+    yield from _differ(ns, paths.motzkin_polynomial, closedforms.partition_polynomial)
+
+
+@_check("permutations-ascent vs theorem1", _upto(kernels.PERMUTATION_CAP))
+def check_permutations_ascent_vs_theorem1(ns):
+    yield from _differ(
+        ns,
+        lambda n: permstats.gen_polynomial(n, "ascent_pattern"),
+        closedforms.partition_polynomial,
     )
 
 
-def check_motzkin_vs_theorem1(n_max: int) -> CheckReport:
-    return _equal_for(
-        "motzkin vs theorem1",
-        [
-            (n, paths.motzkin_polynomial(n), closedforms.partition_polynomial(n))
-            for n in range(1, n_max + 1)
-        ],
+@_check("permutations-crossing vs theorem1", _upto(kernels.PERMUTATION_CAP))
+def check_permutations_crossing_vs_theorem1(ns):
+    yield from _differ(
+        ns,
+        lambda n: permstats.gen_polynomial(n, "wex_crossing"),
+        closedforms.partition_polynomial,
     )
 
 
-def check_permutations_ascent_vs_theorem1(n_max: int) -> CheckReport:
-    n_max = min(n_max, kernels.PERMUTATION_CAP)
-    return _equal_for(
-        "permutations-ascent vs theorem1",
-        [
-            (
-                n,
-                permstats.gen_polynomial(n, "ascent_pattern"),
-                closedforms.partition_polynomial(n),
-            )
-            for n in range(1, n_max + 1)
-        ],
+@_check("signed-paths extraction", _upto(9))
+def check_signed_paths_extraction(ns):
+    yield from _differ(
+        ns,
+        paths.labelled_path_sum,
+        lambda n: (ONE - Q) ** n * paths.motzkin_polynomial(n),
     )
 
 
-def check_permutations_crossing_vs_theorem1(n_max: int) -> CheckReport:
-    n_max = min(n_max, kernels.PERMUTATION_CAP)
-    return _equal_for(
-        "permutations-crossing vs theorem1",
-        [
-            (
-                n,
-                permstats.gen_polynomial(n, "wex_crossing"),
-                closedforms.partition_polynomial(n),
-            )
-            for n in range(1, n_max + 1)
-        ],
-    )
-
-
-def check_signed_paths_extraction(n_max: int) -> CheckReport:
-    n_max = min(n_max, 9)
-    return _equal_for(
-        "signed-paths extraction",
-        [
-            (
-                n,
-                paths.labelled_path_sum(n),
-                (ONE - Q) ** n * paths.motzkin_polynomial(n),
-            )
-            for n in range(1, n_max + 1)
-        ],
-    )
-
-
-def check_decomposition_sum(n_max: int) -> CheckReport:
-    n_max = min(n_max, 9)
-    pairs = []
-    for n in range(1, n_max + 1):
-        total = ZERO
+@_check("left-factor decomposition sum", _upto(9))
+def check_decomposition_sum(ns):
+    def total(n):
+        out = ZERO
         for k in range(n + 1):
             core = paths.core_signed_sum(k)
             for j in range(n - k + 1):
                 c = paths.left_factor_count(n, k, j)
                 if c:
-                    total = total + LaurentPoly.monomial(c, 0, j) * core
-        pairs.append((n, total, paths.labelled_path_sum(n)))
-    return _equal_for("left-factor decomposition sum", pairs)
+                    out = out + LaurentPoly.monomial(c, 0, j) * core
+        return out
+
+    yield from _differ(ns, total, paths.labelled_path_sum)
 
 
-def check_core_closed_form(n_max: int) -> CheckReport:
-    k_max = min(n_max + 1, 10)
-    return _equal_for(
-        "signed core sums vs closed form",
-        [
-            (k, paths.core_signed_sum(k), (-1) ** k * paths.core_closed_form(k))
-            for k in range(k_max + 1)
-        ],
+@_check("signed core sums vs closed form", _upto(10, start=0, ahead=1))
+def check_core_closed_form(ns):
+    yield from _differ(
+        ns, paths.core_signed_sum, lambda k: (-1) ** k * paths.core_closed_form(k)
     )
 
 
-def check_left_factor_counts(n_max: int) -> CheckReport:
-    n_max = min(n_max, 10)
-    violations = []
-    for n in range(n_max + 1):
+@_check("left-factor counts vs formula", _upto(10, start=0))
+def check_left_factor_counts(ns):
+    for n in ns:
         for k in range(n + 1):
             for j in range(n + 1):
                 a = paths.left_factor_count(n, k, j)
                 b = paths.left_factor_formula(n, k, j)
                 if a != b:
-                    violations.append(f"(n,k,j)=({n},{k},{j}): {a} != {b}")
-    return CheckReport("left-factor counts vs formula", not violations, violations)
+                    yield f"(n,k,j)=({n},{k},{j}): {a} != {b}"
 
 
-def check_decompose_roundtrip(n_max: int) -> CheckReport:
-    n_max = min(n_max, 7)
-    violations = []
-    for n in range(1, n_max + 1):
+@_check("decomposition round-trip", _upto(7))
+def check_decompose_roundtrip(ns):
+    for n in ns:
         for p in paths.iter_labelled_paths(n):
             left, core = paths.decompose(p)
             if not core.in_core_set():
-                violations.append(f"core not in core set for {p.serialize()}")
+                yield f"core not in core set for {p.serialize()}"
                 continue
             if paths.recompose(left, core) != p:
-                violations.append(f"round trip failed for {p.serialize()}")
+                yield f"round trip failed for {p.serialize()}"
             j = sum(1 for kind in left if kind in (paths.SE, paths.E1))
             sign, e_q, e_y = core.signed_exponents()
             if (sign, e_q, e_y + j) != p.signed_exponents():
-                violations.append(f"weight split failed for {p.serialize()}")
-    return CheckReport("decomposition round-trip", not violations, violations)
+                yield f"weight split failed for {p.serialize()}"
 
 
-def check_lgv_bijection(n_max: int) -> CheckReport:
-    from itertools import product as iproduct
-
-    n_max = min(n_max, 7)
-    violations = []
-    for n in range(n_max + 1):
+@_check("lgv bijection round-trip", _upto(7, start=0))
+def check_lgv_bijection(ns):
+    for n in ns:
         image = {}
-        for lower in iproduct("NE", repeat=n):
-            for upper in iproduct("NE", repeat=n):
+        for lower in product("NE", repeat=n):
+            for upper in product("NE", repeat=n):
                 pair = paths.LatticePathPair(tuple(lower), tuple(upper))
                 if not pair.is_nonintersecting():
                     continue
                 lf = paths.pair_to_left_factor(pair)
                 if paths.left_factor_to_pair(lf) != pair:
-                    violations.append(f"n={n}: round trip failed for {lf}")
+                    yield f"n={n}: round trip failed for {lf}"
                 image[lf] = image.get(lf, 0) + 1
         admissible = {steps for steps, _, _ in paths.iter_left_factors(n)}
         if set(image) != admissible or any(v != 1 for v in image.values()):
-            violations.append(f"n={n}: image is not a bijection onto left factors")
-    return CheckReport("lgv bijection round-trip", not violations, violations)
+            yield f"n={n}: image is not a bijection onto left factors"
 
 
-def check_functional_equation(n_max: int) -> CheckReport:
-    rep = paths.check_functional_equation(min(n_max, 6))
-    rep.name = "core functional equation"
-    return rep
+@_check("core functional equation", _upto(6, start=0))
+def check_functional_equation(ns):
+    yield from paths.check_functional_equation(ns[-1]).violations
 
 
-def check_ansatz_relations(n_max: int) -> CheckReport:
-    return ansatz.verify_ansatz(n_max + 2)
+@_check("ansatz relations", lambda n_max: (n_max + 2,))
+def check_ansatz_relations(ns):
+    """The relations on the truncations of dimension ns."""
+    for dim in ns:
+        yield from ansatz.verify_ansatz(dim).violations
 
 
-def check_hat_relations(n_max: int) -> CheckReport:
-    return ansatz.verify_hat_relations(n_max + 2)
+@_check("hat relations", lambda n_max: (n_max + 2,))
+def check_hat_relations(ns):
+    """The hatted relations on the truncations of dimension ns."""
+    for dim in ns:
+        yield from ansatz.verify_hat_relations(dim).violations
 
 
-def check_inversion_formulas(n_max: int) -> CheckReport:
-    violations = []
-    for n in range(1, min(n_max, 6) + 1):
+@_check("inversion formulas", _upto(6))
+def check_inversion_formulas(ns):
+    for n in ns:
         rep = ansatz.verify_inversion(n)
         if not rep.ok:
-            violations.extend(f"n={n}: {v}" for v in rep.violations[:3])
-    return CheckReport("inversion formulas", not violations, violations)
+            yield from (f"n={n}: {v}" for v in rep.violations[:3])
 
 
-def check_inversion_printed_variant(n_max: int) -> CheckReport:
-    rep = ansatz.verify_inversion(1, printed_eq5=True, y=2)
-    ok = not rep.ok  # the printed variant must fail at y=2
-    return CheckReport(
-        "printed second inversion fails at y=2",
-        ok,
-        [] if ok else ["printed (D+E)^k variant unexpectedly holds at y=2"],
-    )
+@_check("printed second inversion fails at y=2", _fixed(1))
+def check_inversion_printed_variant(ns):
+    for n in ns:
+        if ansatz.verify_inversion(n, printed_eq5=True, y=2).ok:
+            yield "printed (D+E)^k variant unexpectedly holds at y=2"
 
 
-def check_rook_sum_vs_matrix(n_max: int) -> CheckReport:
-    n_max = min(n_max, 8)
-    return _equal_for(
-        "rooks vs matrix",
-        [
-            (n, rooks.rook_sum(n), rooks.hat_scalar_product(n))
-            for n in range(1, n_max + 1)
-        ],
-    )
+@_check("rooks vs matrix", _upto(8))
+def check_rook_sum_vs_matrix(ns):
+    yield from _differ(ns, rooks.rook_sum, rooks.hat_scalar_product)
 
 
-def check_rook_ladder(n_max: int) -> CheckReport:
-    n_max = min(n_max, 8)
-    violations = []
-    for n in range(n_max + 1):
+@_check("rook summation ladder", _upto(8, start=0))
+def check_rook_ladder(ns):
+    for n in ns:
         for k in range(n // 2 + 1):
             exhaustive = rooks.column_weight_sum(0, k, n)
             if exhaustive != rooks.t0_recurrence(k, n):
-                violations.append(f"recurrence differs at (k,n)=({k},{n})")
+                yield f"recurrence differs at (k,n)=({k},{n})"
             if exhaustive != rooks.t0_closed(k, n):
-                violations.append(f"closed form differs at (k,n)=({k},{n})")
+                yield f"closed form differs at (k,n)=({k},{n})"
             for j in range(k + 1):
                 if n - 2 * k + 2 * j < 0:
                     continue
-                rep = rooks.check_factorization(j, k, n)
-                if not rep.ok:
-                    violations.append(f"factorization differs at (j,k,n)=({j},{k},{n})")
-    return CheckReport("rook summation ladder", not violations, violations)
+                if not rooks.check_factorization(j, k, n).ok:
+                    yield f"factorization differs at (j,k,n)=({j},{k},{n})"
 
 
-def check_row_sum_formula(n_max: int) -> CheckReport:
-    n_max = min(n_max, 7)
-    violations = []
-    for n in range(1, n_max + 1):
-        for k in range(n // 2 + 1):
+@_check("row-sum formula vs exhaustive", _upto(7))
+def check_row_sum_formula(ns):
+    for n in ns:
+        for k in range(n + 1):
             total = ZERO
             for j in range(k + 1):
                 total = total + rooks.column_weight_sum(j, k, n)
-            got = LaurentPoly.monomial(1, 0, k) * rooks.row_sum_formula(k, n)
-            if got != total:
-                violations.append(f"(k,n)=({k},{n})")
-    return CheckReport("row-sum formula vs exhaustive", not violations, violations)
+            if LaurentPoly.monomial(1, 0, k) * rooks.row_sum_formula(k, n) != total:
+                yield f"(k,n)=({k},{n})"
 
 
-def check_phi_bijection(n_max: int) -> CheckReport:
-    n_max = min(n_max, 6)
-    violations = []
-    for n in range(1, n_max + 1):
+@_check("involution bijection", _upto(6))
+def check_phi_bijection(ns):
+    for n in ns:
         mu_by_involution: dict = {}
         seen = set()
         count = 0
         for pl in rooks.iter_all_placements(n):
             inv, lam = rooks.phi(pl)
             if rooks.phi_inverse(inv, lam) != pl:
-                violations.append(f"n={n}: round trip failed")
+                yield f"n={n}: round trip failed"
                 continue
             seen.add((inv, lam.word))
             count += 1
             mu = rooks.mu_statistic(pl)
             if mu_by_involution.setdefault(inv, mu) != mu:
-                violations.append(f"n={n}: offset depends on more than the involution")
+                yield f"n={n}: offset depends on more than the involution"
         if len(seen) != count:
-            violations.append(f"n={n}: map is not injective")
-    return CheckReport("involution bijection", not violations, violations)
+            yield f"n={n}: map is not injective"
 
 
-def check_boundary_reconciliation(n_max: int) -> CheckReport:
-    rep = rooks.reconcile_boundary_identity(min(n_max, 8))
-    ok = rep.ok
-    detail = [f"passing candidates: {rep.passing or 'none'}"]
-    return CheckReport(
-        "boundary-sum normalization is unique", ok, [] if ok else detail
-    )
+@_check("boundary-sum normalization is unique", _upto(8))
+def check_boundary_reconciliation(ns):
+    rep = rooks.reconcile_boundary_identity(ns[-1])
+    if not rep.ok:
+        yield f"passing candidates: {rep.passing or 'none'}"
 
 
-def check_rook_route_vs_theorem1(n_max: int) -> CheckReport:
+@_check("rooks vs theorem1", _upto(rooks.ROOK_CAP))
+def check_rook_route_vs_theorem1(ns):
     """Exhaustive rook sums, fed through the first inversion formula, must
     reproduce the partition polynomial."""
-    n_max = min(n_max, rooks.ROOK_CAP)
-    return _equal_for(
-        "rooks vs theorem1",
-        [
-            (
-                n,
-                rooks.partition_polynomial_via_rooks(n),
-                closedforms.partition_polynomial(n),
-            )
-            for n in range(1, n_max + 1)
-        ],
+    yield from _differ(
+        ns, rooks.partition_polynomial_via_rooks, closedforms.partition_polynomial
     )
 
 
-def check_williams_vs_theorem1(n_max: int) -> CheckReport:
-    violations = []
-    for n in range(1, n_max + 1):
+@_check("williams vs theorem1", _upto())
+def check_williams_vs_theorem1(ns):
+    for n in ns:
         p = closedforms.partition_polynomial(n)
         for m in range(1, n + 1):
             if closedforms.y_coefficient_formula(m, n) != p.coeff_y(m):
-                violations.append(f"(m,n)=({m},{n})")
-    return CheckReport("williams vs theorem1", not violations, violations)
+                yield f"(m,n)=({m},{n})"
 
 
-def check_touchard_riordan(n_max: int) -> CheckReport:
-    n_max = min(n_max, 6)
-    return _equal_for(
-        "matching closed form vs enumeration",
-        [
-            (
-                n,
-                closedforms.matching_closed_form(n),
-                permstats.matching_crossing_polynomial(n),
-            )
-            for n in range(1, n_max + 1)
-        ],
+@_check("matching closed form vs enumeration", _upto(6))
+def check_touchard_riordan(ns):
+    yield from _differ(
+        ns, closedforms.matching_closed_form, permstats.matching_crossing_polynomial
     )
 
 
-def check_low_order_coefficients(n_max: int) -> CheckReport:
-    violations = []
-    for n in range(1, max(n_max, 12) + 1):
+@_check("low-order q coefficients", lambda n_max: range(1, max(n_max, 12) + 1))
+def check_low_order_coefficients(ns):
+    for n in ns:
         p = closedforms.partition_polynomial_y1(n)
         lo = closedforms.low_order_coefficients(n)
         for m in range(4):
             if p.coeff(m, 0) != lo[m]:
-                violations.append(f"n={n}, q^{m}")
-    return CheckReport("low-order q coefficients", not violations, violations)
+                yield f"n={n}, q^{m}"
 
 
-def check_q10(n_max: int) -> CheckReport:
-    violations = []
-    for n in range(8, 13):
-        if closedforms.q10_coefficient(n) != closedforms.partition_polynomial_y1(
-            n
-        ).coeff(10, 0):
-            violations.append(f"n={n}")
-    if closedforms.partition_polynomial_y1(7).coeff(10, 0) != 0:
-        violations.append("n=7 should have no q^10 term")
-    return CheckReport("q^10 closed form", not violations, violations)
+@_check("q^10 closed form", _fixed(*range(7, 13)))
+def check_q10(ns):
+    """The closed form, which is 0 below n = 8, against the y=1 polynomial."""
+    for n in ns:
+        got = closedforms.partition_polynomial_y1(n).coeff(10, 0)
+        want = closedforms.q10_coefficient(n)
+        if got != want:
+            yield f"n={n}: {got} != {want}"
 
 
-def check_narayana(n_max: int) -> CheckReport:
-    violations = []
-    for n in range(1, min(n_max + 1, 10) + 1):
-        rep = closedforms.narayana_report(n)
-        if not rep.ok:
-            violations.append(f"n={n}")
-    return CheckReport("narayana specialisation", not violations, violations)
+@_check("narayana specialisation", _upto(10, ahead=1))
+def check_narayana(ns):
+    for n in ns:
+        if not closedforms.narayana_report(n).ok:
+            yield f"n={n}"
 
 
-def check_small_q_coefficients(n_max: int) -> CheckReport:
-    violations = []
-    for n in range(1, min(n_max + 1, 10) + 1):
+@_check("q y^m and q^2 y^m closed forms", _upto(10, ahead=1))
+def check_small_q_coefficients(ns):
+    for n in ns:
         p = closedforms.partition_polynomial(n)
         for m in range(1, n + 1):
             if p.coeff(1, m) != closedforms.q1_y_coefficient(n, m):
-                violations.append(f"q y^{m} at n={n}")
+                yield f"q y^{m} at n={n}"
             if p.coeff(2, m) != closedforms.q2_y_coefficient(n, m):
-                violations.append(f"q^2 y^{m} at n={n}")
-    return CheckReport("q y^m and q^2 y^m closed forms", not violations, violations)
+                yield f"q^2 y^{m} at n={n}"
 
 
-def check_positivity_and_factorial(n_max: int) -> CheckReport:
-    violations = []
-    for n in range(1, n_max + 1):
+@_check("positivity and factorial specialisation", _upto())
+def check_positivity_and_factorial(ns):
+    for n in ns:
         p = closedforms.partition_polynomial(n)
         if any(c <= 0 for _, _, c in p.terms()):
-            violations.append(f"n={n}: negative coefficient")
+            yield f"n={n}: negative coefficient"
         total = p.eval_q(1).eval_y(1).to_int()
         want = 1
         for i in range(2, n + 1):
             want *= i
         if total != want:
-            violations.append(f"n={n}: total {total} != {want}")
+            yield f"n={n}: total {total} != {want}"
         ys = p.y_support()
         if min(ys) != 1 or max(ys) != n:
-            violations.append(f"n={n}: y-degrees {min(ys)}..{max(ys)}")
-    return CheckReport("positivity and factorial specialisation", not violations, violations)
+            yield f"n={n}: y-degrees {min(ys)}..{max(ys)}"
 
 
-def check_truncation_stability(n_max: int) -> CheckReport:
-    k = min(n_max, 5)
-    base = ansatz.scalar_product(ansatz.yd_plus_e(k + 2), k)
-    violations = []
-    for dim in range(k + 3, k + 7):
-        if ansatz.scalar_product(ansatz.yd_plus_e(dim), k) != base:
-            violations.append(f"dim={dim}")
-    return CheckReport("truncation stability", not violations, violations)
+@_check("truncation stability", _at(5))
+def check_truncation_stability(ns):
+    for k in ns:
+        base = ansatz.scalar_product(ansatz.yd_plus_e(k + 2), k)
+        for dim in range(k + 3, k + 7):
+            if ansatz.scalar_product(ansatz.yd_plus_e(dim), k) != base:
+                yield f"dim={dim}"
 
 
-def check_pattern_bound(n_max: int) -> CheckReport:
-    n = min(n_max, 7)
-    ok = permstats.vincular_bounded_by_classical(n)
-    return CheckReport(
-        "vincular pattern count bounded by classical",
-        ok,
-        [] if ok else [f"violated on S_{n}"],
-    )
+@_check("vincular pattern count bounded by classical", _at(7))
+def check_pattern_bound(ns):
+    for n in ns:
+        if not permstats.vincular_bounded_by_classical(n):
+            yield f"violated on S_{n}"
 
 
-def check_pattern_tail_bound(n_max: int) -> CheckReport:
+@_check("classical tail bound", _upto(9))
+def check_pattern_tail_bound(ns):
     """#{<=k classical 1-3-2} is bounded by the partial sums of the q-distribution."""
-    violations = []
-    for n in range(1, min(n_max, 9) + 1):
+    for n in ns:
         p = closedforms.partition_polynomial_y1(n)
         for k in range(4):
             lhs = permstats.psi(k, n)
             rhs = sum(p.coeff(m, 0) for m in range(k + 1))
             if lhs > rhs:
-                violations.append(f"(n,k)=({n},{k}): {lhs} > {rhs}")
-    return CheckReport("classical tail bound", not violations, violations)
+                yield f"(n,k)=({n},{k}): {lhs} > {rhs}"
 
 
-def check_kernel_definitions(n_max: int) -> CheckReport:
+@_check("kernels vs reference definitions", _at(5))
+def check_kernel_definitions(ns):
     """Bulk kernel tables agree with the per-object reference statistics."""
-    n = min(n_max, 5)
-    violations = []
+    (n,) = ns
     terms_ap: dict = {}
     terms_wc: dict = {}
     hist_cl: dict = {}
@@ -428,19 +384,18 @@ def check_kernel_definitions(n_max: int) -> CheckReport:
         c = permstats.classical_132_count(w)
         hist_cl[c] = hist_cl.get(c, 0) + 1
     if LaurentPoly(terms_ap) != permstats.gen_polynomial(n, "ascent_pattern"):
-        violations.append("ascent/pattern table differs from definitions")
+        yield "ascent/pattern table differs from definitions"
     if LaurentPoly(terms_wc) != permstats.gen_polynomial(n, "wex_crossing"):
-        violations.append("exceedance/crossing table differs from definitions")
+        yield "exceedance/crossing table differs from definitions"
     bulk = permstats.classical_hist(n)
     if {c: v for c, v in enumerate(bulk) if v} != hist_cl:
-        violations.append("classical-pattern histogram differs from definitions")
-    m = min(n_max, 4)
+        yield "classical-pattern histogram differs from definitions"
     hist: dict = {}
-    for pairs in permstats.iter_matchings(m):
+    for pairs in permstats.iter_matchings(n):
         c = permstats.matching_crossings(pairs)
         hist[(c, 0)] = hist.get((c, 0), 0) + 1
-    if LaurentPoly(hist) != permstats.matching_crossing_polynomial(m):
-        violations.append("matching table differs from definitions")
+    if LaurentPoly(hist) != permstats.matching_crossing_polynomial(n):
+        yield "matching table differs from definitions"
     for size in range(1, n + 1):
         for restricted, bulk in (
             (False, paths.labelled_path_sum(size)),
@@ -451,7 +406,7 @@ def check_kernel_definitions(n_max: int) -> CheckReport:
                 total = total + p.weight()
             if total != bulk:
                 kind = "core" if restricted else "labelled"
-                violations.append(f"{kind} path sum differs from definitions at n={size}")
+                yield f"{kind} path sum differs from definitions at n={size}"
     for size in range(n + 1):
         counts: dict = {}
         for _, k, j in paths.iter_left_factors(size):
@@ -461,20 +416,17 @@ def check_kernel_definitions(n_max: int) -> CheckReport:
             for k in range(size + 1)
             for j in range(size + 1)
         ):
-            violations.append(f"left-factor table differs from definitions at n={size}")
-    return CheckReport("kernels vs reference definitions", not violations, violations)
+            yield f"left-factor table differs from definitions at n={size}"
 
 
-def check_asymptotic_trend(n_max: int) -> CheckReport:
-    violations = []
+@_check("asymptotic ratio trend", _fixed(20, 40, 60))
+def check_asymptotic_trend(ns):
     for m in (0, 1, 2):
-        ratios = [closedforms.asymptotic_ratio(m, n) for n in (20, 40, 60)]
-        if not (ratios[0] < ratios[1] < ratios[2] < 1):
-            violations.append(f"m={m}: ratios {[float(r) for r in ratios]}")
-    r0 = closedforms.asymptotic_ratio(0, 60)
-    if abs(r0 - 1) > 0.10:
-        violations.append(f"m=0 ratio at n=60 is {float(r0)}")
-    return CheckReport("asymptotic ratio trend", not violations, violations)
+        ratios = [closedforms.asymptotic_ratio(m, n) for n in ns]
+        if not (all(a < b for a, b in zip(ratios, ratios[1:])) and ratios[-1] < 1):
+            yield f"m={m}: ratios {ratios}"
+        if m == 0 and abs(ratios[-1] - 1) > 0.10:
+            yield f"m=0 ratio at n={ns[-1]} is {ratios[-1]}"
 
 
 CHECKS = (
@@ -516,6 +468,8 @@ CHECKS = (
 
 def run_all(n_max: int) -> list[CheckReport]:
     """Run every check; reports come back in the declared order."""
+    if n_max < 1:
+        raise ValueError("n_max must be >= 1")
     return [check(n_max) for check in CHECKS]
 
 

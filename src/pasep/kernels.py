@@ -17,8 +17,14 @@ BACKEND = "python"
 # Largest path length the signed-path table (and the signed-paths route) takes.
 SIGNED_PATH_CAP = 24
 
-# Largest n the ascent and crossing tables (and the permutation routes) take.
+# Largest n the permutation tables (and the permutation routes) take.
 PERMUTATION_CAP = 9
+
+# Largest n the matching table takes: (2n-1)!! matchings, 2027025 at the cap.
+MATCHING_CAP = 8
+
+# Largest length the left-factor table takes.
+LEFT_FACTOR_CAP = 16
 
 
 def ascent_pattern_counts(n: int) -> list[list[int]]:
@@ -98,8 +104,8 @@ def wex_crossing_counts(n: int) -> list[list[int]]:
 
 def vincular_classical_joint(n: int) -> list[list[int]]:
     """counts[v][c] over permutations of n: v vincular 13-2, c classical 1-3-2."""
-    if not 1 <= n <= 12:
-        raise ValueError("n must be in 1..12")
+    if not 1 <= n <= PERMUTATION_CAP:
+        raise ValueError(f"n must be in 1..{PERMUTATION_CAP}")
     vmax = n * (n - 1) // 2
     cmax = n * (n - 1) * (n - 2) // 6
     counts = [[0] * (cmax + 1) for _ in range(vmax + 1)]
@@ -123,8 +129,8 @@ def vincular_classical_joint(n: int) -> list[list[int]]:
 
 def matching_crossing_hist(n: int) -> list[int]:
     """hist[c] = #perfect matchings of {1..2n} with c crossings."""
-    if not 1 <= n <= 12:
-        raise ValueError("n must be in 1..12")
+    if not 1 <= n <= MATCHING_CAP:
+        raise ValueError(f"n must be in 1..{MATCHING_CAP}")
     cmax = n * (n - 1) // 2
     hist = [0] * (cmax + 1)
     free = list(range(1, 2 * n + 1))
@@ -221,8 +227,8 @@ def signed_path_table(n: int, restricted: bool) -> list[list[int]]:
 def left_factor_counts(n: int) -> list[list[int]]:
     """counts[k][j]: bicoloured Motzkin prefixes of length n, final height k,
     with j steps that are south-east or east of type 1."""
-    if not 0 <= n <= 16:
-        raise ValueError("n must be in 0..16")
+    if not 0 <= n <= LEFT_FACTOR_CAP:
+        raise ValueError(f"n must be in 0..{LEFT_FACTOR_CAP}")
     counts = [[0] * (n + 1) for _ in range(n + 1)]
     counts[0][0] = 1
     for pos in range(n):

@@ -315,8 +315,6 @@ def left_factor_count(n: int, k: int, j: int) -> int:
 
 @lru_cache(maxsize=None)
 def _left_factor_table(n: int) -> tuple[tuple[int, ...], ...]:
-    if not 0 <= n <= 12:
-        raise ValueError("left-factor enumeration supports 0 <= n <= 12")
     return tuple(tuple(row) for row in kernels.left_factor_counts(n))
 
 

@@ -127,8 +127,8 @@ def classical_tail(n: int, k: int) -> tuple[int, ...]:
     Permutations are built by prefix.  Occurrences only accrue as a prefix
     grows, so a prefix is dropped once its count exceeds k.
     """
-    if not 1 <= n <= 12:
-        raise ValueError("n must be in 1..12")
+    if not 1 <= n <= kernels.PERMUTATION_CAP:
+        raise ValueError(f"n must be in 1..{kernels.PERMUTATION_CAP}")
     hist = [0] * (k + 1)
 
     def rec(prefix: list[int], unused: list[int], count: int):
@@ -170,8 +170,6 @@ def vincular_bounded_by_classical(n: int) -> bool:
 @lru_cache(maxsize=None)
 def matching_crossing_polynomial(n: int) -> LaurentPoly:
     """sum over perfect matchings of {1..2n} of q^crossings."""
-    if not 1 <= n <= 8:
-        raise ValueError("exhaustive matching enumeration supports n <= 8")
     hist = kernels.matching_crossing_hist(n)
     return LaurentPoly({(c, 0): v for c, v in enumerate(hist) if v})
 

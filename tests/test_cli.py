@@ -2,8 +2,10 @@
 
 import inspect
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +20,7 @@ from pasep import (
     qcombinat,
     rooks,
 )
+from pasep.laurent import LaurentPoly
 
 
 def run_cli(args):
@@ -111,6 +114,18 @@ def test_usage_errors_exit_2():
 def test_crosscheck_cap(capsys):
     assert run_cli(["crosscheck", "--n-max", "10"]) == 3
     capsys.readouterr()
+    for n_max in ("0", "-1"):
+        assert run_cli(["crosscheck", "--n-max", n_max]) == 2
+        assert "error: n-max must be >= 1" in capsys.readouterr().err
+    with pytest.raises(ValueError):
+        crosscheck.run_all(0)
+
+
+def test_readme_caps_table_matches_method_caps():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    rows = re.findall(r"^\| `([a-z0-9-]+)` \| n<=(\d+) \|", readme, re.MULTILINE)
+    assert sorted(method for method, _ in rows) == sorted(cli.METHOD_CAPS)
+    assert {method: int(cap) for method, cap in rows} == cli.METHOD_CAPS
 
 
 def test_table_q0_catalan(capsys):
@@ -161,6 +176,62 @@ def test_crosscheck_names_injected_failure(capsys, monkeypatch):
     assert rc == 1
     assert "first failing identity: williams vs theorem1" in captured.err
     assert "FAIL williams vs theorem1" in captured.out
+
+
+def test_crosscheck_names_first_differing_term(monkeypatch):
+    orig = paths.motzkin_polynomial
+
+    def defective(n):  # one extra q^3 y^2 at n=5
+        return orig(n) + LaurentPoly.monomial(1, 3, 2) if n == 5 else orig(n)
+
+    monkeypatch.setattr(paths, "motzkin_polynomial", defective)
+    rep = crosscheck.check_motzkin_vs_theorem1(6)
+    want = closedforms.partition_polynomial(5).coeff(3, 2)
+    assert rep.name == "motzkin vs theorem1"
+    assert not rep.ok
+    assert rep.violations == [f"n=5: q^3 y^2: {want + 1} vs {want}"]
+
+
+def test_crosscheck_pretty_lists_sizes(capsys):
+    assert run_cli(["crosscheck", "--n-max", "3"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    sizes = dict(re.fullmatch(r"PASS (.*) \(sizes (.*)\)", line).groups() for line in lines[:-1])
+    assert sizes == {
+        "matrix vs theorem1": "1..3",
+        "motzkin vs theorem1": "1..3",
+        "permutations-ascent vs theorem1": "1..3",
+        "permutations-crossing vs theorem1": "1..3",
+        "signed-paths extraction": "1..3",
+        "left-factor decomposition sum": "1..3",
+        "signed core sums vs closed form": "0..4",
+        "left-factor counts vs formula": "0..3",
+        "decomposition round-trip": "1..3",
+        "lgv bijection round-trip": "0..3",
+        "core functional equation": "0..3",
+        "ansatz relations": "5",
+        "hat relations": "5",
+        "inversion formulas": "1..3",
+        "printed second inversion fails at y=2": "1",
+        "rooks vs matrix": "1..3",
+        "rook summation ladder": "0..3",
+        "row-sum formula vs exhaustive": "1..3",
+        "involution bijection": "1..3",
+        "boundary-sum normalization is unique": "1..3",
+        "rooks vs theorem1": "1..3",
+        "williams vs theorem1": "1..3",
+        "matching closed form vs enumeration": "1..3",
+        "low-order q coefficients": "1..12",
+        "q^10 closed form": "7..12",
+        "narayana specialisation": "1..4",
+        "q y^m and q^2 y^m closed forms": "1..4",
+        "positivity and factorial specialisation": "1..3",
+        "truncation stability": "3",
+        "vincular pattern count bounded by classical": "3",
+        "classical tail bound": "1..3",
+        "kernels vs reference definitions": "3",
+        "asymptotic ratio trend": "20, 40, 60",
+    }
+    assert lines[-1] == "33/33 checks passed (n_max=3)"
 
 
 def test_stdout_byte_deterministic_across_processes():

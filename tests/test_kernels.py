@@ -78,9 +78,17 @@ def test_signed_path_cap():
 
 def test_permutation_cap(capsys):
     n = kernels.PERMUTATION_CAP
-    for kernel in (kernels.ascent_pattern_counts, kernels.wex_crossing_counts):
+    for call in (
+        lambda: kernels.ascent_pattern_counts(n + 1),
+        lambda: kernels.wex_crossing_counts(n + 1),
+        lambda: kernels.vincular_classical_joint(n + 1),
+        lambda: permstats.classical_hist(n + 1),
+        lambda: permstats.classical_tail(n + 1, 0),
+        lambda: permstats.psi(0, n + 1),
+        lambda: permstats.vincular_bounded_by_classical(n + 1),
+    ):
         with pytest.raises(ValueError):
-            kernel(n + 1)
+            call()
     for method, stat_pair in (
         ("permutations-ascent", "ascent_pattern"),
         ("permutations-crossing", "wex_crossing"),
@@ -90,3 +98,22 @@ def test_permutation_cap(capsys):
         assert cli.METHOD_CAPS[method] == n
         assert cli.main(["eval", "--method", method, "-n", str(n + 1)]) == 3
         assert "capped" in capsys.readouterr().err
+
+
+def test_matching_cap():
+    n = kernels.MATCHING_CAP
+    assert n == 8
+    for call in (kernels.matching_crossing_hist, permstats.matching_crossing_polynomial):
+        with pytest.raises(ValueError):
+            call(n + 1)
+
+
+def test_left_factor_cap():
+    n = kernels.LEFT_FACTOR_CAP
+    for k in range(n + 1):
+        for j in range(n + 1):
+            assert paths.left_factor_count(n, k, j) == paths.left_factor_formula(n, k, j)
+    with pytest.raises(ValueError):
+        kernels.left_factor_counts(n + 1)
+    with pytest.raises(ValueError):
+        paths.left_factor_count(n + 1, 0, 0)
