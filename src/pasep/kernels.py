@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from itertools import permutations
 
+from .laurent import ONE, ZERO, LaurentPoly
+
 BACKEND = "python"
 
 # Largest path length the signed-path table (and the signed-paths route) takes.
@@ -158,33 +160,19 @@ def matching_crossing_hist(n: int) -> list[int]:
 # forbids a plain NE immediately followed by a plain SE.
 
 
-def _add_shifted(rows: dict, key, row: list[int], shift: int, sign: int) -> None:
-    """rows[key] += sign * q^shift * row, rows holding coefficient lists."""
-    cur = rows.get(key)
-    end = shift + len(row)
-    if cur is None:
-        cur = rows[key] = [0] * end
-    elif len(cur) < end:
-        cur.extend([0] * (end - len(cur)))
-    if sign > 0:
-        cur[shift:end] = [a + b for a, b in zip(cur[shift:end], row)]
-    else:
-        cur[shift:end] = [a - b for a, b in zip(cur[shift:end], row)]
-
-
 def _signed_path_counts(n: int, restricted: bool, mark_z: bool) -> dict:
-    """{(z, e_y): row} with row[e_q] the signed count of labelled closed paths
-    of length n, z counting starred steps (always 0 unless mark_z).
+    """{z: poly}: the signed weight sum over labelled closed paths of length n
+    with z starred steps (z always 0 unless mark_z).
 
     The DP runs over the states (height, last step was a plain NE); only the
     restricted set needs the second coordinate, so it stays False otherwise.
     """
     dz = 1 if mark_z else 0
-    states = {(0, False): {(0, 0): [1]}}
+    states = {(0, False): {0: ONE}}
     for pos in range(n):
         top = n - pos - 1  # a path must be able to close in the steps left
         new: dict = {}
-        for (h, plain_ne), rows in states.items():
+        for (h, plain_ne), sums in states.items():
             # (height after, plain NE flag after, starred, e_y step, e_q step)
             moves = [
                 (h, False, True, 1, h + 1),  # E1*
@@ -203,8 +191,9 @@ def _signed_path_counts(n: int, restricted: bool, mark_z: bool) -> dict:
                     continue
                 target = new.setdefault((nh, flag), {})
                 dzs, sign = (dz, -1) if starred else (0, 1)
-                for (z, ey), row in rows.items():
-                    _add_shifted(target, (z + dzs, ey + dey), row, shift, sign)
+                weight = LaurentPoly.monomial(sign, shift, dey)
+                for z, p in sums.items():
+                    target[z + dzs] = target.get(z + dzs, ZERO) + p * weight
         states = new
     return states.get((0, False), {})
 
@@ -219,8 +208,8 @@ def signed_path_table(n: int, restricted: bool) -> list[list[int]]:
         raise ValueError(f"n must be in 1..{SIGNED_PATH_CAP}")
     qmax = (n + 1) * (n + 1) // 4 + 1
     table = [[0] * (qmax + 1) for _ in range(n + 1)]
-    for (_, ey), row in _signed_path_counts(n, restricted, False).items():
-        table[ey][: len(row)] = row
+    for eq, ey, c in _signed_path_counts(n, restricted, False)[0].terms():
+        table[ey][eq] = c
     return table
 
 

@@ -1,22 +1,24 @@
-"""Exact sparse Laurent polynomials in the two variables q and y.
+"""Exact Laurent polynomials in the two variables q and y.
 
-A polynomial is a finite map from exponent pairs ``(e_q, e_y)`` (either may
-be negative) to nonzero arbitrary-precision integer coefficients.  The empty
-map is the zero polynomial.  Equality is equality of canonical term maps, and
-the canonical term order used everywhere (serialisation, pretty printing) is
-lexicographic on ``(e_q, e_y)``, ascending.
+A polynomial is held as its rows: a map from each power ``e_y`` of y that
+occurs to ``(lo, row)``, where ``row`` lists the coefficients of
+``q^lo, q^(lo+1), ...`` densely.  Every row is trimmed, so its first and last
+entries are nonzero, and the empty map is the zero polynomial; equal
+polynomials therefore have equal rows.  Either exponent may be negative.
+Rows are never modified once they belong to a polynomial, so values share
+them freely and are immutable after construction.
+
+Ring operations combine rows by C-level slice arithmetic (``map``,
+``accumulate``) instead of per-term updates.  A term map ``{(e_q, e_y): c}``
+is built only at the boundary: ``terms``, serialisation, substitution and
+general long division.  The canonical term order used everywhere
+(serialisation, pretty printing) is lexicographic on ``(e_q, e_y)``,
+ascending.
 
 Coefficients stay plain ``int`` under ring operations.  Substituting a
 rational value for a variable (``eval_q`` / ``eval_y``) may produce
 ``fractions.Fraction`` coefficients; integral fractions are normalised back
 to ``int``.
-
-Values are immutable after construction, so they are safe to share freely.
-
-Large products and divisions by powers of (1 - q) work on dense rows: the
-terms of one power of y as a q offset and a list of coefficients, combined by
-C-level slice arithmetic (``map``/``accumulate``) instead of per-term dict
-updates.  The term map stays the one representation between operations.
 """
 
 from __future__ import annotations
@@ -26,12 +28,9 @@ import json
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, compress, repeat
+from itertools import accumulate, chain, islice, repeat
 from math import comb
-from operator import add, mul, neg
-
-# A product with at least this many term pairs is computed on dense rows.
-_DENSE_CUTOFF = 64
+from operator import add, mul, neg, sub
 
 
 class NotDivisible(ArithmeticError):
@@ -53,65 +52,76 @@ class ExponentBounds:
 
 
 class LaurentPoly:
-    __slots__ = ("_terms",)
+    __slots__ = ("_rows",)
 
     def __init__(self, terms=None):
-        t = {}
+        by_y = defaultdict(dict)
         if terms:
-            for key, c in terms.items():
+            for (eq, ey), c in terms.items():
                 if c:
-                    eq, ey = key
-                    t[(int(eq), int(ey))] = t.get((eq, ey), 0) + c
-            t = {k: c for k, c in t.items() if c}
-        object.__setattr__(self, "_terms", t)
+                    by_y[int(ey)][int(eq)] = c
+        rows = {}
+        for ey, group in by_y.items():
+            lo = min(group)
+            rows[ey] = (lo, list(map(group.get, range(lo, max(group) + 1), repeat(0))))
+        self._rows = rows
 
     @classmethod
-    def _raw(cls, terms: dict) -> "LaurentPoly":
-        # internal: terms must already be canonical (no zeros)
+    def _raw(cls, rows: dict) -> "LaurentPoly":
+        # internal: rows must already be trimmed and nonempty
         self = object.__new__(cls)
-        object.__setattr__(self, "_terms", terms)
+        self._rows = rows
         return self
 
     @classmethod
     def from_int(cls, c: int) -> "LaurentPoly":
-        return cls._raw({(0, 0): c} if c else {})
+        return cls._raw({0: (0, [c])} if c else {})
 
     @classmethod
     def monomial(cls, c: int, e_q: int = 0, e_y: int = 0) -> "LaurentPoly":
-        return cls._raw({(e_q, e_y): c} if c else {})
+        return cls._raw({e_y: (e_q, [c])} if c else {})
 
     # -- basic queries ----------------------------------------------------
 
     @property
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._rows
 
     def terms(self):
         """Yield (e_q, e_y, coeff) in canonical order."""
-        for key in sorted(self._terms):
-            yield key[0], key[1], self._terms[key]
+        yield from sorted(
+            (lo + i, ey, c)
+            for ey, (lo, row) in self._rows.items()
+            for i, c in enumerate(row)
+            if c
+        )
 
     def __len__(self):
-        return len(self._terms)
+        """The number of nonzero terms."""
+        return sum(len(row) - row.count(0) for _, row in self._rows.values())
 
     def coeff(self, e_q: int, e_y: int):
-        return self._terms.get((e_q, e_y), 0)
+        lo, row = self._rows.get(e_y, (0, ()))
+        return row[e_q - lo] if 0 <= e_q - lo < len(row) else 0
 
     def coeff_y(self, e_y: int) -> "LaurentPoly":
         """The coefficient of y**e_y, as a polynomial in q."""
-        return LaurentPoly._raw(
-            {(eq, 0): c for (eq, ey), c in self._terms.items() if ey == e_y}
-        )
+        row = self._rows.get(e_y)
+        return LaurentPoly._raw({0: row} if row else {})
 
     def y_support(self):
-        return sorted({ey for (_, ey) in self._terms})
+        return sorted(self._rows)
 
     def bounds(self) -> ExponentBounds | None:
-        if not self._terms:
+        if not self._rows:
             return None
-        qs = [eq for (eq, _) in self._terms]
-        ys = [ey for (_, ey) in self._terms]
-        return ExponentBounds(min(qs), max(qs), min(ys), max(ys))
+        rows = self._rows.values()
+        return ExponentBounds(
+            min(lo for lo, _ in rows),
+            max(lo + len(row) - 1 for lo, row in rows),
+            min(self._rows),
+            max(self._rows),
+        )
 
     # -- ring operations --------------------------------------------------
 
@@ -127,22 +137,20 @@ class LaurentPoly:
         other = LaurentPoly._coerce(other)
         if other is None:
             return NotImplemented
-        a, b = self._terms, other._terms
+        a, b = self._rows, other._rows
         if len(a) < len(b):
             a, b = b, a
         out = dict(a)
-        for k, c in b.items():
-            v = out.get(k, 0) + c
-            if v:
-                out[k] = v
-            elif k in out:
-                del out[k]
+        for ey, (lo, row) in b.items():
+            _add_row(out, ey, lo, row)
         return LaurentPoly._raw(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentPoly._raw({k: -c for k, c in self._terms.items()})
+        return LaurentPoly._raw(
+            {ey: (lo, list(map(neg, row))) for ey, (lo, row) in self._rows.items()}
+        )
 
     def __sub__(self, other):
         other = LaurentPoly._coerce(other)
@@ -157,24 +165,30 @@ class LaurentPoly:
         if isinstance(other, int):
             if not other:
                 return ZERO
-            return LaurentPoly._raw({k: c * other for k, c in self._terms.items()})
+            return LaurentPoly._raw(
+                {
+                    ey: (lo, list(map(mul, row, repeat(other))))
+                    for ey, (lo, row) in self._rows.items()
+                }
+            )
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        a, b = self._terms, other._terms
-        if len(a) * len(b) >= _DENSE_CUTOFF:
-            return LaurentPoly._raw(_dense_mul(a, b))
-        if len(a) > len(b):
+        a, b = self._rows, other._rows
+        if len(a) < len(b):
             a, b = b, a
-        out = {}
-        for (e1, f1), c1 in a.items():
-            for (e2, f2), c2 in b.items():
-                k = (e1 + e2, f1 + f2)
-                v = out.get(k, 0) + c1 * c2
-                if v:
-                    out[k] = v
-                elif k in out:
-                    del out[k]
-        return LaurentPoly._raw(out)
+        if len(b) == 1:
+            (yb, (lb, rb)), = b.items()
+            if len(rb) == 1:  # a monomial factor shifts the rows
+                c = rb[0]
+                return LaurentPoly._raw(
+                    {
+                        ya + yb: (la + lb, ra if c == 1 else list(map(mul, ra, repeat(c))))
+                        for ya, (la, ra) in a.items()
+                    }
+                )
+        elif not b:
+            return ZERO
+        return LaurentPoly._raw(_row_product(a, b))
 
     __rmul__ = __mul__
 
@@ -195,10 +209,12 @@ class LaurentPoly:
         other = LaurentPoly._coerce(other)
         if other is None:
             return NotImplemented
-        return self._terms == other._terms
+        return self._rows == other._rows
 
     def __hash__(self):
-        return hash(frozenset(self._terms.items()))
+        return hash(
+            frozenset((ey, lo, tuple(row)) for ey, (lo, row) in self._rows.items())
+        )
 
     # -- division ----------------------------------------------------------
 
@@ -213,26 +229,28 @@ class LaurentPoly:
             raise ZeroDivisionError("division by zero polynomial")
         if self.is_zero:
             return ZERO
-        # Is other +-q^a y^b (1-q)^k, i.e. k + 1 terms on one y-row carrying
-        # the signed binomial coefficients?
-        bb = other.bounds()
-        k = len(other) - 1
-        sign = other.coeff(bb.q_min, bb.y_min)
-        if sign in (1, -1) and all(
-            other.coeff(bb.q_min + i, bb.y_min) == sign * (-1) ** i * comb(k, i)
-            for i in range(k + 1)
-        ):
-            return self._div_one_minus_q_power(k, sign, bb.q_min, bb.y_min)
+        # Is other +-q^a y^b (1-q)^k, i.e. one y-row carrying the signed
+        # binomial coefficients?
+        if len(other._rows) == 1:
+            (ey, (lo, row)), = other._rows.items()
+            k = len(row) - 1
+            sign = row[0]
+            if sign in (1, -1) and all(
+                c == sign * (-1) ** i * comb(k, i) for i, c in enumerate(row)
+            ):
+                return self._div_one_minus_q_power(k, sign, lo, ey)
         return self._heap_div(other)
 
     def _div_one_minus_q_power(self, k: int, sign: int, q_shift: int, y_shift: int):
         """self / (sign * q^q_shift * y^y_shift * (1-q)^k), for sign = +-1.
 
         Dividing a q-row by (1 - q) takes its prefix sums; the division is
-        exact exactly when the last prefix sum (the row sum) is zero.
+        exact exactly when the last prefix sum (the row sum) is zero.  The
+        quotient's rows stay trimmed: their first entry is the dividend's and
+        their last is +-the dividend's last.
         """
         out = {}
-        for ey, (lo, row) in _rows(self._terms).items():
+        for ey, (lo, row) in self._rows.items():
             for _ in range(k):
                 row = list(accumulate(row))
                 if row.pop():
@@ -240,15 +258,15 @@ class LaurentPoly:
                         f"no exact quotient (y^{ey} row is not divisible by (1-q)^{k})"
                     )
             out[ey - y_shift] = (lo - q_shift, row if sign == 1 else list(map(neg, row)))
-        return LaurentPoly._raw(_terms_from_rows(out))
+        return LaurentPoly._raw(out)
 
     def _heap_div(self, other: "LaurentPoly") -> "LaurentPoly":
         """Exact quotient by general long division on a max-heap of terms."""
         ab, bb = self.bounds(), other.bounds()
         # Shift both operands to plain polynomials; undo the shift at the end.
         shift = (ab.q_min - bb.q_min, ab.y_min - bb.y_min)
-        rem = {(eq - ab.q_min, ey - ab.y_min): c for (eq, ey), c in self._terms.items()}
-        div = {(eq - bb.q_min, ey - bb.y_min): c for (eq, ey), c in other._terms.items()}
+        rem = {(eq - ab.q_min, ey - ab.y_min): c for eq, ey, c in self.terms()}
+        div = {(eq - bb.q_min, ey - bb.y_min): c for eq, ey, c in other.terms()}
         lead = max(div)
         lead_c = div[lead]
         quot: dict = {}
@@ -276,8 +294,8 @@ class LaurentPoly:
                     rem.pop(kk, None)
         if rem:
             raise NotDivisible("nonzero remainder")
-        return LaurentPoly._raw(
-            {(eq + shift[0], ey + shift[1]): c for (eq, ey), c in quot.items() if c}
+        return LaurentPoly(
+            {(eq + shift[0], ey + shift[1]): c for (eq, ey), c in quot.items()}
         )
 
     # -- substitution -------------------------------------------------------
@@ -291,35 +309,30 @@ class LaurentPoly:
         return self._eval(1, value)
 
     def _eval(self, axis: int, value):
+        terms = {(eq, ey): c for eq, ey, c in self.terms()}
         if value == 0:
-            if any(k[axis] < 0 for k in self._terms):
+            if any(k[axis] < 0 for k in terms):
                 raise PoleAtZero("substituting 0 into a negative power")
-            out = {}
-            for (eq, ey), c in self._terms.items():
-                if (eq, ey)[axis] == 0:
-                    out[(eq, ey)] = c
-            return LaurentPoly._raw(out)
+            return LaurentPoly({k: c for k, c in terms.items() if k[axis] == 0})
         v = Fraction(value)
         acc: dict = {}
-        for (eq, ey), c in self._terms.items():
+        for (eq, ey), c in terms.items():
             e = (eq, ey)[axis]
             key = (0, ey) if axis == 0 else (eq, 0)
             acc[key] = acc.get(key, 0) + c * v**e
-        out = {}
-        for k, c in acc.items():
-            if c == 0:
-                continue
-            if isinstance(c, Fraction) and c.denominator == 1:
-                c = int(c)
-            out[k] = c
-        return LaurentPoly._raw(out)
+        return LaurentPoly(
+            {
+                k: int(c) if isinstance(c, Fraction) and c.denominator == 1 else c
+                for k, c in acc.items()
+            }
+        )
 
     def to_int(self) -> int:
         """The value of a constant polynomial (zero or a single (0,0) term)."""
         if self.is_zero:
             return 0
-        if set(self._terms) == {(0, 0)}:
-            return self._terms[(0, 0)]
+        if self.bounds() == ExponentBounds(0, 0, 0, 0):
+            return self._rows[0][1][0]
         raise ValueError("polynomial is not constant")
 
     # -- serialisation ------------------------------------------------------
@@ -355,12 +368,9 @@ class LaurentPoly:
         """A readable string, grouped by descending power of y."""
         if self.is_zero:
             return "0"
-        groups = {}
-        for (eq, ey), c in self._terms.items():
-            groups.setdefault(ey, {})[eq] = c
         parts = []
-        for ey in sorted(groups, reverse=True):
-            qpart = _q_poly_str(groups[ey])
+        for ey in sorted(self._rows, reverse=True):
+            qpart = _q_poly_str(*self._rows[ey])
             ypart = _power_str("y", ey)
             if not ypart:
                 parts.append(qpart)
@@ -391,10 +401,11 @@ def _power_str(var: str, e: int) -> str:
     return f"{var}^{e}"
 
 
-def _q_poly_str(qterms: dict) -> str:
+def _q_poly_str(lo: int, row: list) -> str:
     parts = []
-    for eq in sorted(qterms):
-        c = qterms[eq]
+    for eq, c in enumerate(row, lo):
+        if not c:
+            continue
         qp = _power_str("q", eq)
         if not qp:
             s = str(c)
@@ -411,58 +422,82 @@ def _q_poly_str(qterms: dict) -> str:
     return out
 
 
-def _rows(terms: dict) -> dict:
-    """The terms grouped by power of y: e_y -> (q offset, dense coefficients)."""
-    by_y = defaultdict(dict)
-    for (eq, ey), c in terms.items():
-        by_y[ey][eq] = c
-    rows = {}
-    for ey, group in by_y.items():
-        lo = min(group)
-        rows[ey] = (lo, list(map(group.get, range(lo, max(group) + 1), repeat(0))))
+def _trim(lo: int, row: list) -> tuple[int, list] | None:
+    """(lo, row) without its zeros at either end; None if the row is all zero."""
+    if row[0] and row[-1]:
+        return lo, row
+    end = len(row)
+    while end and not row[end - 1]:
+        end -= 1
+    if not end:
+        return None
+    start = 0
+    while not row[start]:
+        start += 1
+    return lo + start, row[start:end]
+
+
+def _window_sums(row: list, m: int) -> list:
+    """Coefficients of row(q) * (1 + q + ... + q^(m-1))."""
+    if m == 1:
+        return row
+    out = list(accumulate(chain(row, repeat(0, m - 1))))
+    # Entry i of the prefix sums minus entry i - m leaves the window sum.
+    out[m:] = map(sub, islice(out, m, None), out)
+    return out
+
+
+def _add_row(rows: dict, ey: int, lo: int, row: list) -> None:
+    """rows[ey] += q^lo row, keeping rows trimmed; the lists are not modified."""
+    cur = rows.get(ey)
+    if cur is None:
+        rows[ey] = (lo, row)
+        return
+    la, ra = cur
+    if la > lo:
+        la, ra, lo, row = lo, row, la, ra
+    start = lo - la
+    end = start + len(row)
+    out = ra + [0] * (end - len(ra)) if end > len(ra) else ra[:]
+    out[start:end] = map(add, out[start:end], row)
+    trimmed = _trim(la, out)
+    if trimmed:
+        rows[ey] = trimmed
+    else:
+        del rows[ey]
+
+
+def _row_product(a: dict, b: dict) -> dict:
+    """The rows of a * b: the sum of the products of every pair of rows.
+
+    A pair whose shorter row is all ones, q^lo [m]_q, is a window sum of the
+    longer row; any other pair takes one slice-add per nonzero coefficient of
+    the shorter row.  A product of two nonzero rows is nonzero and trimmed.
+    """
+    rows: dict = {}
+    for ya, (la, ra) in a.items():
+        for yb, (lb, rb) in b.items():
+            short, long = (ra, rb) if len(ra) <= len(rb) else (rb, ra)
+            if short.count(1) == len(short):
+                out = _window_sums(long, len(short))
+            else:
+                width = len(long)
+                out = [0] * (len(short) + width - 1)
+                for i, c in enumerate(short):
+                    if c == 1:
+                        out[i:i + width] = map(add, out[i:i + width], long)
+                    elif c:
+                        out[i:i + width] = map(
+                            add, out[i:i + width], map(mul, long, repeat(c))
+                        )
+            _add_row(rows, ya + yb, la + lb, out)
     return rows
 
 
-def _dense_mul(a: dict, b: dict) -> dict:
-    """The term map of a * b, convolving each pair of y-rows by slice-adds."""
-    rows_a, rows_b = _rows(a), _rows(b)
-    spans: dict = {}  # product e_y -> (lowest, highest) q exponent reached
-    for ya, (la, ra) in rows_a.items():
-        for yb, (lb, rb) in rows_b.items():
-            lo, hi = la + lb, la + lb + len(ra) + len(rb) - 2
-            span = spans.get(ya + yb)
-            if span is not None:
-                lo, hi = min(lo, span[0]), max(hi, span[1])
-            spans[ya + yb] = (lo, hi)
-    acc = {ey: [0] * (hi - lo + 1) for ey, (lo, hi) in spans.items()}
-    for ya, (la, ra) in rows_a.items():
-        for yb, (lb, rb) in rows_b.items():
-            ey = ya + yb
-            out = acc[ey]
-            start = la + lb - spans[ey][0]
-            short, long = (ra, rb) if len(ra) <= len(rb) else (rb, ra)
-            width = len(long)
-            for i, c in enumerate(short, start):
-                if c == 1:
-                    out[i:i + width] = map(add, out[i:i + width], long)
-                elif c:
-                    out[i:i + width] = map(add, out[i:i + width], map(mul, long, repeat(c)))
-    return _terms_from_rows({ey: (spans[ey][0], out) for ey, out in acc.items()})
-
-
-def _terms_from_rows(rows: dict) -> dict:
-    """The inverse of _rows: the nonzero entries as a term map."""
-    terms: dict = {}
-    for ey, (lo, row) in rows.items():
-        keys = zip(range(lo, lo + len(row)), repeat(ey))
-        terms.update(compress(zip(keys, row), row))
-    return terms
-
-
 ZERO = LaurentPoly._raw({})
-ONE = LaurentPoly._raw({(0, 0): 1})
-Q = LaurentPoly._raw({(1, 0): 1})
-Y = LaurentPoly._raw({(0, 1): 1})
+ONE = LaurentPoly.from_int(1)
+Q = LaurentPoly.monomial(1, 1, 0)
+Y = LaurentPoly.monomial(1, 0, 1)
 ONE_MINUS_Q = ONE - Q
 
 __all__ = [

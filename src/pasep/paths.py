@@ -33,12 +33,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, chain, islice, repeat
-from operator import add, sub
 
 from . import kernels
 from .laurent import ONE, Q, Y, ZERO, LaurentPoly
-from .qcombinat import binomial
+from .qcombinat import binomial, q_int
 from .report import CheckReport
 
 NE, SE, E1, E2 = "NE", "SE", "E1", "E2"
@@ -149,51 +147,23 @@ def iter_labelled_paths(n: int, restricted: bool = False):
 # -- generating polynomial by height-indexed transfer -----------------------
 
 
-def _window_sums(row: list[int], m: int) -> list[int]:
-    """Coefficients of row(q) * (1 + q + ... + q^(m-1))."""
-    out = list(accumulate(chain(row, repeat(0, m - 1))))
-    # Entry i of the prefix sums minus entry i - m leaves the window sum.
-    out[m:] = map(sub, islice(out, m, None), out)
-    return out
-
-
-def _acc(target: dict, ey: int, row: list[int]) -> None:
-    cur = target.get(ey)
-    if cur is None:
-        target[ey] = list(row)
-        return
-    k = min(len(cur), len(row))
-    cur[:k] = map(add, cur, row)
-    cur += row[k:]
-
-
 @lru_cache(maxsize=None)
 def motzkin_polynomials_upto(n: int) -> tuple[LaurentPoly, ...]:
     """(p_1, ..., p_n): p_s is the weighted sum over closed paths of length s."""
-    dp = [{0: [1]}]
+    dp = [ONE]  # dp[h]: weighted sum over paths so far that end at height h
     results = []
     for step in range(1, n + 1):
-        new = [dict() for _ in range(len(dp) + 1)]
-        for h, group in enumerate(dp):
-            for ey, row in group.items():
-                up = _window_sums(row, h + 1)  # weight y*[h+1]_q: NE and E1
-                _acc(new[h + 1], ey + 1, up)
-                _acc(new[h], ey + 1, up)
-                if h > 0:
-                    down = _window_sums(row, h)  # weight [h]_q: SE and E2
-                    _acc(new[h - 1], ey, down)
-                    _acc(new[h], ey, down)
+        new = [ZERO] * (len(dp) + 1)
+        for h, p in enumerate(dp):
+            up = p * (Y * q_int(h + 1))  # weight y*[h+1]_q: NE and E1
+            new[h + 1] = new[h + 1] + up
+            new[h] = new[h] + up
+            if h > 0:
+                down = p * q_int(h)  # weight [h]_q: SE and E2
+                new[h - 1] = new[h - 1] + down
+                new[h] = new[h] + down
         dp = new[: n - step + 1]  # higher paths cannot return to 0 by step n
-        results.append(
-            LaurentPoly(
-                {
-                    (eq, ey): c
-                    for ey, row in dp[0].items()
-                    for eq, c in enumerate(row)
-                    if c
-                }
-            )
-        )
+        results.append(dp[0])
     return tuple(results)
 
 
@@ -450,23 +420,10 @@ def _zs_eval_z1(a: dict) -> LaurentPoly:
     return sum(a.values(), ZERO)
 
 
-@lru_cache(maxsize=None)
-def _core_z_series(n: int) -> tuple[tuple[int, int, int, int], ...]:
-    """Signed monomial data (z_exp, e_q, e_y, coeff) for the core set of length n,
-    with z marking starred steps."""
-    return tuple(
-        (z, eq, ey, c)
-        for (z, ey), row in kernels._signed_path_counts(n, True, True).items()
-        for eq, c in enumerate(row)
-        if c
-    )
-
-
 def _core_zsum(n: int) -> dict:
-    out: dict[int, dict] = {}
-    for z, eq, ey, c in _core_z_series(n):
-        out.setdefault(z, {})[(eq, ey)] = c
-    return {z: LaurentPoly(terms) for z, terms in out.items()}
+    """The core set of length n as {z_exponent: signed weight sum}, with z
+    marking starred steps."""
+    return kernels._signed_path_counts(n, True, True)
 
 
 def check_functional_equation(t_order: int) -> CheckReport:

@@ -21,7 +21,7 @@ class CheckReport:
     def summary(self) -> str:
         head = f"{'PASS' if self.ok else 'FAIL'} {self.name}"
         ns = self.sizes
-        if len(ns) > 2 and ns == tuple(range(ns[0], ns[-1] + 1)):
+        if len(ns) > 1 and ns == tuple(range(ns[0], ns[-1] + 1)):
             head += f" (sizes {ns[0]}..{ns[-1]})"
         elif ns:
             head += f" (sizes {', '.join(map(str, ns))})"

@@ -121,6 +121,13 @@ def test_crosscheck_cap(capsys):
         crosscheck.run_all(0)
 
 
+def test_crosscheck_n_max_1(capsys):
+    for fmt in ("json", "csv", "pretty"):
+        assert run_cli(["crosscheck", "--n-max", "1", "--format", fmt]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "PASS boundary-sum normalization is unique (sizes 1..2)" in lines
+
+
 def test_readme_caps_table_matches_method_caps():
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     rows = re.findall(r"^\| `([a-z0-9-]+)` \| n<=(\d+) \|", readme, re.MULTILINE)

@@ -33,7 +33,11 @@ def test_core_z_series_matches_paths(n):
         z = sum(1 for _, starred in p.steps if starred)
         ((eq, ey, c),) = p.weight().terms()
         want[(z, eq, ey)] = want.get((z, eq, ey), 0) + c
-    got = {(z, eq, ey): c for z, eq, ey, c in paths._core_z_series(n)}
+    got = {
+        (z, eq, ey): c
+        for z, poly in paths._core_zsum(n).items()
+        for eq, ey, c in poly.terms()
+    }
     assert got == {k: c for k, c in want.items() if c}
 
 

@@ -98,6 +98,25 @@ def test_boundary_g():
     assert lhs == Q * (ONE - Q) * (ONE + Y)
 
 
+def _summed_row_sum_formula(n):
+    """sum_k y^k row_sum_formula(k, n) over every column count k."""
+    return sum(
+        (LaurentPoly.monomial(1, 0, k) * rooks.row_sum_formula(k, n) for k in range(n + 1)),
+        ZERO,
+    )
+
+
+def test_summed_row_sum_formula_is_the_hat_scalar_product():
+    for n in range(9):
+        assert _summed_row_sum_formula(n) == rooks.hat_scalar_product(n), n
+
+
+def test_boundary_identity_from_the_row_sum_formula():
+    for n in range(31):
+        lhs = LaurentPoly.monomial(1, n, 0) * (ONE - Q) * _summed_row_sum_formula(n)
+        assert lhs == (ONE + Y) * rooks.boundary_g(n) - rooks.boundary_g(n + 1), n
+
+
 def test_reconcile_boundary_identity():
     rep = rooks.reconcile_boundary_identity(6)
     assert rep.passing == ["q^n(1-q)"]
