@@ -5,13 +5,16 @@ for a given n_max.  Exhaustive methods stop at their own feasibility caps and
 cheap closed forms may run past n_max, so a single n_max steers everything,
 and every report records the sizes it covered.  A check body takes those
 sizes and yields one string per violation.  The CLI `crosscheck` verb runs
-the whole list; the acceptance test suite drives the same functions.
+the whole list, on every usable CPU; the acceptance test suite drives the
+same functions.
 """
 
 from __future__ import annotations
 
 import functools
-from itertools import product
+import os
+import sys
+from itertools import product, repeat
 
 from .laurent import ONE, Q, Y, ZERO, LaurentPoly
 from . import ansatz, closedforms, kernels, paths, permstats, rooks
@@ -144,7 +147,7 @@ def check_decompose_roundtrip(ns):
                 continue
             if paths.recompose(left, core) != p:
                 yield f"round trip failed for {p.serialize()}"
-            j = sum(1 for kind in left if kind in (paths.SE, paths.E1))
+            j = left.count(paths.SE) + left.count(paths.E1)
             sign, e_q, e_y = core.signed_exponents()
             if (sign, e_q, e_y + j) != p.signed_exponents():
                 yield f"weight split failed for {p.serialize()}"
@@ -401,14 +404,12 @@ def check_kernel_definitions(ns):
     if LaurentPoly(hist) != permstats.matching_crossing_polynomial(n):
         yield "matching table differs from definitions"
     for size in range(1, n + 1):
-        for restricted, bulk in (
-            (False, paths.labelled_path_sum(size)),
-            (True, paths.core_signed_sum(size)),
-        ):
-            total = ZERO
+        for restricted in (False, True):
+            table = kernels.signed_path_table(size, restricted)
             for p in paths.iter_labelled_paths(size, restricted):
-                total = total + p.weight()
-            if total != bulk:
+                sign, e_q, e_y = p.signed_exponents()
+                table[e_y][e_q] -= sign
+            if any(map(any, table)):
                 kind = "core" if restricted else "labelled"
                 yield f"{kind} path sum differs from definitions at n={size}"
     for size in range(n + 1):
@@ -470,11 +471,37 @@ CHECKS = (
 )
 
 
+def _run_check(index: int, n_max: int) -> CheckReport:
+    return CHECKS[index](n_max)
+
+
 def run_all(n_max: int) -> list[CheckReport]:
-    """Run every check; reports come back in the declared order."""
+    """Run every check; reports come back in the declared order.
+
+    The checks share no state beyond memoised results, so they run in a
+    pool of forked processes, one per usable CPU (at most one per check).  A
+    forked worker inherits this process's modules as they stand, caches and
+    any patched functions included, so it is sent only the check's index.
+    The pool forks every worker before it starts its own thread.  With one
+    usable CPU the checks run in this process and nothing is forked.
+    """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    return [check(n_max) for check in CHECKS]
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = min(len(CHECKS), cpus)
+    if workers < 2:
+        return [check(n_max) for check in CHECKS]
+
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    sys.stdout.flush()  # a forked child must not inherit unwritten output
+    sys.stderr.flush()
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    try:
+        return list(pool.map(_run_check, range(len(CHECKS)), repeat(n_max)))
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 __all__ = ["CHECKS", "run_all"] + [c.__name__ for c in CHECKS]

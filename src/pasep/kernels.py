@@ -1,8 +1,9 @@
 """Enumeration kernels: the bulk tables behind the exhaustive routes.
 
-Every kernel returns plain nested lists of ints.  The labelled-path and
-left-factor tables are transfer DPs over path heights, polynomial in n; the
-ascent table is a DP over the 2^n sets of used values.  The crossing
+Every kernel in ``__all__`` returns plain nested lists of ints; the library
+reads the signed-path sums as polynomials, from ``signed_path_sum``.  The
+labelled-path and left-factor tables are transfer DPs over path heights,
+polynomial in n; the ascent table is a DP over the 2^n sets of used values.  The crossing
 statistics stay brute force over every permutation or matching, each one
 counted from its definition: computing them through open-arc counts would
 run the bijection they are the oracle for.
@@ -12,7 +13,7 @@ from __future__ import annotations
 
 from itertools import permutations
 
-from .laurent import ONE, ZERO, LaurentPoly
+from .laurent import ONE, Y, ZERO, LaurentPoly
 
 BACKEND = "python"
 
@@ -156,16 +157,37 @@ def matching_crossing_hist(n: int) -> list[int]:
 # starting at height h:
 #   NE, E1:  y   (plain)   or  -y*q^(h+1)  (starred)
 #   SE, E2:  1   (plain)   or  -q^h        (starred)
-# The restricted set additionally requires every east step to be starred and
-# forbids a plain NE immediately followed by a plain SE.
+# The restricted (core) set additionally requires every east step to be
+# starred and forbids a plain NE immediately followed by a plain SE.
 
 
-def _signed_path_counts(n: int, restricted: bool, mark_z: bool) -> dict:
-    """{z: poly}: the signed weight sum over labelled closed paths of length n
-    with z starred steps (z always 0 unless mark_z).
+def _labelled_path_sum(n: int) -> LaurentPoly:
+    """The signed weight sum over all labelled closed paths of length n.
 
-    The DP runs over the states (height, last step was a plain NE); only the
-    restricted set needs the second coordinate, so it stays False otherwise.
+    A step's plain and starred choices lead to the same height, so the DP
+    sums their weights: a step from height g weighs y(1 - q^(g+1)) if it is
+    NE or E1, and 1 - q^g if it is SE or E2.  If p[g] sums the paths so far
+    that end at height g, the sum after one more step at height h is
+    c[h] + c[h+1], with c[m] = (1 - q^m) (y p[m-1] + p[m]): c[h] takes NE
+    from h-1 and E2 from h, and c[h+1] takes E1 from h and SE from h+1.
+    """
+    dp = [ONE]
+    for pos in range(n):
+        high = min(len(dp), n - pos - 1)  # higher paths cannot close in time
+        dp += [ZERO, ZERO]
+        c = [ZERO]  # c[0] = 0: E2 at height 0 weighs 1 - 1
+        for m in range(1, high + 2):
+            a = dp[m - 1] * Y + dp[m]
+            c.append(a - a * LaurentPoly.monomial(1, m))
+        dp = [c[h] + c[h + 1] for h in range(high + 1)]
+    return dp[0]
+
+
+def _core_path_counts(n: int, mark_z: bool) -> dict:
+    """{z: poly}: the signed weight sum over the core paths of length n with
+    z starred steps (z always 0 unless mark_z).
+
+    The DP runs over the states (height, last step was a plain NE).
     """
     dz = 1 if mark_z else 0
     states = {(0, False): {0: ONE}}
@@ -178,13 +200,11 @@ def _signed_path_counts(n: int, restricted: bool, mark_z: bool) -> dict:
                 (h, False, True, 1, h + 1),  # E1*
                 (h, False, True, 0, h),  # E2*
                 (h + 1, False, True, 1, h + 1),  # NE*
-                (h + 1, restricted, False, 1, 0),  # NE
+                (h + 1, True, False, 1, 0),  # NE
             ]
-            if not restricted:
-                moves += [(h, False, False, 1, 0), (h, False, False, 0, 0)]  # E1, E2
             if h > 0:
                 moves.append((h - 1, False, True, 0, h))  # SE*
-                if not (restricted and plain_ne):
+                if not plain_ne:
                     moves.append((h - 1, False, False, 0, 0))  # SE
             for nh, flag, starred, dey, shift in moves:
                 if nh > top:
@@ -198,17 +218,26 @@ def _signed_path_counts(n: int, restricted: bool, mark_z: bool) -> dict:
     return states.get((0, False), {})
 
 
+def signed_path_sum(n: int, restricted: bool) -> LaurentPoly:
+    """The signed weight sum over labelled closed paths of length n, as a
+    polynomial: the full labelled set, or the core subset if restricted."""
+    if not 1 <= n <= SIGNED_PATH_CAP:
+        raise ValueError(f"n must be in 1..{SIGNED_PATH_CAP}")
+    if restricted:
+        return _core_path_counts(n, False).get(0, ZERO)
+    return _labelled_path_sum(n)
+
+
 def signed_path_table(n: int, restricted: bool) -> list[list[int]]:
     """table[e_y][e_q] = signed count of labelled closed paths of length n.
 
     Unrestricted: the full labelled set; restricted: east steps starred and
     no all-plain peak.  Either way the table encodes the signed weight sum.
     """
-    if not 1 <= n <= SIGNED_PATH_CAP:
-        raise ValueError(f"n must be in 1..{SIGNED_PATH_CAP}")
+    total = signed_path_sum(n, restricted)
     qmax = (n + 1) * (n + 1) // 4 + 1
     table = [[0] * (qmax + 1) for _ in range(n + 1)]
-    for eq, ey, c in _signed_path_counts(n, restricted, False)[0].terms():
+    for eq, ey, c in total.terms():
         table[ey][eq] = c
     return table
 

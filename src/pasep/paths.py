@@ -31,7 +31,7 @@ starred step; e.g. ``"U F1* D*"``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from functools import lru_cache
 
 from . import kernels
@@ -41,6 +41,7 @@ from .report import CheckReport
 
 NE, SE, E1, E2 = "NE", "SE", "E1", "E2"
 _RISE = {NE: 1, SE: -1, E1: 0, E2: 0}
+_PLAIN_NE = (NE, False)
 _TOKEN = {NE: "U", SE: "D", E1: "F1", E2: "F2"}
 _KIND = {v: k for k, v in _TOKEN.items()}
 
@@ -49,20 +50,44 @@ class IntersectingPair(ValueError):
     """Raised when a lattice-path pair shares a vertex."""
 
 
-@dataclass(frozen=True)
 class LabeledMotzkinPath:
-    """A closed labelled path: a tuple of (kind, starred) steps."""
+    """A closed labelled path: a tuple of (kind, starred) steps.
 
-    steps: tuple[tuple[str, bool], ...]
+    It behaves as a frozen dataclass with the one field ``steps``: immutable,
+    equal and hashed by its steps.
+    """
 
-    def __post_init__(self):
+    __slots__ = ("steps",)
+
+    def __init__(self, steps: tuple[tuple[str, bool], ...]):
         h = 0
-        for kind, _ in self.steps:
+        for kind, _ in steps:
             h += _RISE[kind]
             if h < 0:
                 raise ValueError("path dips below the axis")
-        if h != 0:
+        if h:
             raise ValueError("path does not return to height 0")
+        object.__setattr__(self, "steps", steps)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), (self.steps,)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.steps == other.steps
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.steps,))
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}(steps={self.steps!r})"
 
     def __len__(self):
         return len(self.steps)
@@ -114,34 +139,44 @@ class LabeledMotzkinPath:
         return cls(tuple(steps))
 
 
-def iter_labelled_paths(n: int, restricted: bool = False):
-    """Yield every labelled closed path of length n (core subset if restricted)."""
-    def rec(pos, h, prev_plain_ne, acc):
-        if pos == n:
-            if h == 0:
-                yield LabeledMotzkinPath(tuple(acc))
-            return
-        if h > n - pos:
-            return
-        for kind in (NE, SE, E1, E2):
-            if kind == SE and h == 0:
-                continue
-            for starred in (False, True):
-                if restricted:
-                    if kind in (E1, E2) and not starred:
-                        continue
-                    if kind == SE and not starred and prev_plain_ne:
-                        continue
-                acc.append((kind, starred))
-                yield from rec(
-                    pos + 1,
-                    h + _RISE[kind],
-                    kind == NE and not starred,
-                    acc,
-                )
-                acc.pop()
+# (restricted, can descend, last step a plain NE) -> the (step, rise) choices
+# for the next step, kinds in the order NE, SE, E1, E2, plain before starred.
+_NEXT_STEPS = {
+    (restricted, descend, after_plain_ne): [
+        ((kind, starred), _RISE[kind])
+        for kind in (NE, SE, E1, E2)
+        for starred in (False, True)
+        if (descend or kind != SE)
+        and (starred or not restricted or kind == NE or (kind == SE and not after_plain_ne))
+    ]
+    for restricted in (False, True)
+    for descend in (False, True)
+    for after_plain_ne in (False, True)
+}
 
-    yield from rec(0, 0, False, [])
+
+def _extend(prefixes, top: int, restricted: bool):
+    """Each (steps, height) prefix extended by one step, in order, keeping
+    the prefixes that end at height top or below."""
+    for steps, h in prefixes:
+        after_plain_ne = restricted and steps[-1:] == (_PLAIN_NE,)
+        for step, rise in _NEXT_STEPS[restricted, h > 0, after_plain_ne]:
+            if h + rise <= top:
+                yield steps + (step,), h + rise
+
+
+def iter_labelled_paths(n: int, restricted: bool = False):
+    """Yield every labelled closed path of length n (core subset if restricted).
+
+    Paths come in lexicographic order of their steps, kinds ordered NE, SE,
+    E1, E2 and plain before starred.  Each level extends the prefixes of the
+    one before by one step, lazily, so one prefix per level is held at once.
+    """
+    level = iter([((), 0)])
+    for pos in range(n):
+        level = _extend(level, n - pos - 1, restricted)
+    for steps, _ in level:
+        yield LabeledMotzkinPath(steps)
 
 
 # -- generating polynomial by height-indexed transfer -----------------------
@@ -177,17 +212,6 @@ def motzkin_polynomial(n: int) -> LaurentPoly:
 # -- labelled sums -----------------------------------------------------------
 
 
-def _table_to_poly(table: list[list[int]]) -> LaurentPoly:
-    return LaurentPoly(
-        {
-            (eq, ey): c
-            for ey, row in enumerate(table)
-            for eq, c in enumerate(row)
-            if c
-        }
-    )
-
-
 @lru_cache(maxsize=None)
 def labelled_path_sum(n: int) -> LaurentPoly:
     """Signed weight sum over all labelled closed paths of length n.
@@ -195,7 +219,7 @@ def labelled_path_sum(n: int) -> LaurentPoly:
     Equals (1-q)^n * motzkin_polynomial(n); n is capped at
     kernels.SIGNED_PATH_CAP.
     """
-    return _table_to_poly(kernels.signed_path_table(n, False))
+    return kernels.signed_path_sum(n, False)
 
 
 @lru_cache(maxsize=None)
@@ -203,7 +227,7 @@ def core_signed_sum(k: int) -> LaurentPoly:
     """Signed weight sum over the core subset of length k <= kernels.SIGNED_PATH_CAP."""
     if k == 0:
         return ONE
-    return _table_to_poly(kernels.signed_path_table(k, True))
+    return kernels.signed_path_sum(k, True)
 
 
 def core_closed_form(k: int) -> LaurentPoly:
@@ -225,27 +249,31 @@ def decompose(
     them by NE in p gives the left factor.  This is the same as greedily
     peeling maximal plain sub-paths that close at their own starting height.
     """
-    steps = p.steps
-    in_core = [False] * len(steps)
-    open_ne: list[int] = []  # positions of the plain NEs not yet matched
-    for i, (kind, starred) in enumerate(steps):
+    left: list[str] = []
+    core: list[tuple[str, bool]] = []
+    open_ne = 0  # plain NEs of the current run not yet matched
+    for step in p.steps:
+        kind, starred = step
         if starred:
-            in_core[i] = True
-            for j in open_ne:
-                in_core[j] = True
-            open_ne.clear()
+            # The run ends: its open NEs, then this step, join the core.  An
+            # earlier core step is starred or an SE met with no open NE, so
+            # the core stays in path order.
+            core.extend([_PLAIN_NE] * open_ne)
+            core.append(step)
+            open_ne = 0
+            kind = NE
         elif kind == NE:
-            open_ne.append(i)
+            open_ne += 1
         elif kind == SE:
             if open_ne:
-                open_ne.pop()
-            else:
-                in_core[i] = True
-    # open_ne is empty here: the last plain run of a closed path ends at
+                open_ne -= 1
+            else:  # unmatched in its run: a core step
+                core.append(step)
+                kind = NE
+        left.append(kind)
+    # open_ne is 0 here: the last plain run of a closed path ends at
     # height 0, so each of its NEs is matched.
-    left = tuple(NE if c else kind for (kind, _), c in zip(steps, in_core))
-    core = tuple(step for step, c in zip(steps, in_core) if c)
-    return left, LabeledMotzkinPath(core)
+    return tuple(left), LabeledMotzkinPath(tuple(core))
 
 
 def recompose(
@@ -423,7 +451,7 @@ def _zs_eval_z1(a: dict) -> LaurentPoly:
 def _core_zsum(n: int) -> dict:
     """The core set of length n as {z_exponent: signed weight sum}, with z
     marking starred steps."""
-    return kernels._signed_path_counts(n, True, True)
+    return kernels._core_path_counts(n, True)
 
 
 def check_functional_equation(t_order: int) -> CheckReport:

@@ -2,6 +2,7 @@
 
 import inspect
 import json
+import os
 import re
 import subprocess
 import sys
@@ -274,6 +275,8 @@ def _public_functions(module):
 
 def test_every_public_operation_reachable_from_cli(capsys, monkeypatch):
     """Drive each CLI verb and record which public operations execute."""
+    # The calls are watched in this process, so crosscheck must not fork.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     modules = [qcombinat, ansatz, paths, rooks, closedforms, permstats, crosscheck]
     required = {}
     for mod in modules:
