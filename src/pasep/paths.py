@@ -147,7 +147,8 @@ _NEXT_STEPS = {
         for kind in (NE, SE, E1, E2)
         for starred in (False, True)
         if (descend or kind != SE)
-        and (starred or not restricted or kind == NE or (kind == SE and not after_plain_ne))
+        and (starred or not restricted or kind == NE
+             or (kind == SE and not after_plain_ne))
     ]
     for restricted in (False, True)
     for descend in (False, True)
