@@ -139,15 +139,16 @@ def check_left_factor_counts(ns):
 
 @_check("decomposition round-trip", _upto(7))
 def check_decompose_roundtrip(ns):
+    decompose, recompose, SE, E1 = paths.decompose, paths.recompose, paths.SE, paths.E1
     for n in ns:
         for p in paths.iter_labelled_paths(n):
-            left, core = paths.decompose(p)
+            left, core = decompose(p)
             if not core.in_core_set():
                 yield f"core not in core set for {p.serialize()}"
                 continue
-            if paths.recompose(left, core) != p:
+            if recompose(left, core) != p:
                 yield f"round trip failed for {p.serialize()}"
-            j = left.count(paths.SE) + left.count(paths.E1)
+            j = left.count(SE) + left.count(E1)
             sign, e_q, e_y = core.signed_exponents()
             if (sign, e_q, e_y + j) != p.signed_exponents():
                 yield f"weight split failed for {p.serialize()}"
@@ -369,11 +370,12 @@ def check_pattern_tail_bound(ns):
     """#{<=k classical 1-3-2} is bounded by the partial sums of the q-distribution."""
     for n in ns:
         p = closedforms.partition_polynomial_y1(n)
+        # k = 3 first: its one pruned search also answers k < 3.
+        psi = {k: permstats.psi(k, n) for k in (3, 2, 1, 0)}
         for k in range(4):
-            lhs = permstats.psi(k, n)
             rhs = sum(p.coeff(m, 0) for m in range(k + 1))
-            if lhs > rhs:
-                yield f"(n,k)=({n},{k}): {lhs} > {rhs}"
+            if psi[k] > rhs:
+                yield f"(n,k)=({n},{k}): {psi[k]} > {rhs}"
 
 
 @_check("kernels vs reference definitions", _at(5))

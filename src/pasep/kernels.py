@@ -85,6 +85,20 @@ def wex_crossing_counts(n: int) -> list[list[int]]:
     # ahead in behind[v], which is 0 for v >= r).
     def rec(r: int, unused: list[int], used: int, behind: list[int], wex: int, cr: int):
         low = 1 << (r - 1)
+        if r == n - 2:
+            # The last three positions, each order of the three values left,
+            # inline: v at r, y at r + 1, z at n.  Placing a value u < its
+            # position s adds one to behind[x] for u < x < s, which the
+            # chained comparisons add for y and z.
+            for v, y, z in permutations(unused):
+                extra = (behind[v] + behind[y] + behind[z]
+                         + (v < y < r) + (v < z < r) + (y < z <= r))
+                if v >= r:
+                    extra += (used & ((1 << (v - 1)) - low)).bit_count()
+                if y > r:
+                    extra += ((used | 1 << (v - 1)) & ((1 << (y - 1)) - (low << 1))).bit_count()
+                counts[wex + (v >= r) + (y > r) + (z == n)][cr + extra] += 1
+            return
         for idx, v in enumerate(unused):
             bit = 1 << (v - 1)
             extra = behind[v]
@@ -95,7 +109,7 @@ def wex_crossing_counts(n: int) -> list[list[int]]:
                 after = behind[:]
                 for x in range(v + 1, r):
                     after[x] += 1
-            if r == n:
+            if r == n:  # n <= 2 only
                 counts[wex + (v >= r)][cr + extra] += 1
             else:
                 rec(r + 1, unused[:idx] + unused[idx + 1 :], used | bit, after,

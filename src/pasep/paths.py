@@ -31,7 +31,7 @@ starred step; e.g. ``"U F1* D*"``.
 
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import FrozenInstanceError
 from functools import lru_cache
 
 from . import kernels
@@ -42,6 +42,7 @@ from .report import CheckReport
 NE, SE, E1, E2 = "NE", "SE", "E1", "E2"
 _RISE = {NE: 1, SE: -1, E1: 0, E2: 0}
 _PLAIN_NE = (NE, False)
+_PLAIN = {kind: (kind, False) for kind in _RISE}
 _TOKEN = {NE: "U", SE: "D", E1: "F1", E2: "F2"}
 _KIND = {v: k for k, v in _TOKEN.items()}
 
@@ -67,7 +68,7 @@ class LabeledMotzkinPath:
                 raise ValueError("path dips below the axis")
         if h:
             raise ValueError("path does not return to height 0")
-        object.__setattr__(self, "steps", steps)
+        _set_steps(self, steps)
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -98,31 +99,30 @@ class LabeledMotzkinPath:
 
     def signed_exponents(self) -> tuple[int, int, int]:
         """The weight as its (sign, e_q, e_y) triple."""
-        ey = eq = 0
+        ey = eq = h = 0
         sign = 1
-        h = 0
         for kind, starred in self.steps:
-            if kind in (NE, E1):
-                ey += 1
-                if starred:
-                    sign = -sign
-                    eq += h + 1
-            else:
-                if starred:
-                    sign = -sign
-                    eq += h
-            h += _RISE[kind]
+            up = kind == NE or kind == E1  # weighs y, and q^(h+1) if starred
+            if starred:
+                sign = -sign
+                eq += h + up
+            ey += up
+            if kind == NE:
+                h += 1
+            elif kind == SE:
+                h -= 1
         return sign, eq, ey
 
     def in_core_set(self) -> bool:
         """East steps all starred, and no plain NE directly before a plain SE."""
         prev_plain_ne = False
         for kind, starred in self.steps:
-            if kind in (E1, E2) and not starred:
+            if starred:
+                prev_plain_ne = False
+            elif kind == NE:
+                prev_plain_ne = True
+            elif kind != SE or prev_plain_ne:  # a plain east step or peak
                 return False
-            if kind == SE and not starred and prev_plain_ne:
-                return False
-            prev_plain_ne = kind == NE and not starred
         return True
 
     def serialize(self) -> str:
@@ -138,6 +138,8 @@ class LabeledMotzkinPath:
             steps.append((_KIND[tok.rstrip("*")], starred))
         return cls(tuple(steps))
 
+
+_set_steps = LabeledMotzkinPath.steps.__set__  # bypasses the frozen __setattr__
 
 # (restricted, can descend, last step a plain NE) -> the (step, rise) choices
 # for the next step, kinds in the order NE, SE, E1, E2, plain before starred.
@@ -259,9 +261,10 @@ def decompose(
             # The run ends: its open NEs, then this step, join the core.  An
             # earlier core step is starred or an SE met with no open NE, so
             # the core stays in path order.
-            core.extend([_PLAIN_NE] * open_ne)
+            if open_ne:
+                core += [_PLAIN_NE] * open_ne
+                open_ne = 0
             core.append(step)
-            open_ne = 0
             kind = NE
         elif kind == NE:
             open_ne += 1
@@ -285,16 +288,17 @@ def recompose(
     The NEs of left that no SE matches are the core's slots, in order.
     """
     slots: list[int] = []
-    for i, kind in enumerate(left):
+    out = []  # left's steps, plain
+    for kind in left:
         if kind == NE:
-            slots.append(i)
+            slots.append(len(out))
         elif kind == SE:
             if not slots:
                 raise ValueError("not a valid (left factor, core) pair")
             slots.pop()
+        out.append(_PLAIN[kind])
     if len(slots) != len(core):
         raise ValueError("core length does not match the left factor")
-    out = [(kind, False) for kind in left]
     for i, step in zip(slots, core.steps):
         out[i] = step
     return LabeledMotzkinPath(tuple(out))
@@ -346,37 +350,59 @@ def iter_left_factors(n: int):
 # -- lattice path pairs ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class LatticePathPair:
     """Two monotone N/E paths with the same number of steps.
 
     ``lower`` starts at (1,0) and ``upper`` at (0,1); the pair is admissible
-    when the paths share no lattice point.
+    when the paths share no lattice point.  It behaves as a frozen dataclass
+    with the fields ``lower`` and ``upper``.
     """
 
-    lower: tuple[str, ...]
-    upper: tuple[str, ...]
+    __slots__ = ("lower", "upper")
 
-    def __post_init__(self):
-        if len(self.lower) != len(self.upper):
+    def __init__(self, lower: tuple[str, ...], upper: tuple[str, ...]):
+        if len(lower) != len(upper):
             raise ValueError("paths must have equal length")
-        for s in self.lower + self.upper:
+        for s in lower + upper:
             if s not in ("N", "E"):
                 raise ValueError(f"bad step {s!r}")
+        _set_lower(self, lower)
+        _set_upper(self, upper)
 
-    def vertices(self, which: str) -> list[tuple[int, int]]:
-        x, y = (1, 0) if which == "lower" else (0, 1)
-        out = [(x, y)]
-        for s in self.lower if which == "lower" else self.upper:
-            if s == "E":
-                x += 1
-            else:
-                y += 1
-            out.append((x, y))
-        return out
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), (self.lower, self.upper)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.lower, self.upper) == (other.lower, other.upper)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.lower, self.upper))
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}(lower={self.lower!r}, upper={self.upper!r})"
 
     def is_nonintersecting(self) -> bool:
-        return not set(self.vertices("lower")) & set(self.vertices("upper"))
+        """Both paths start on the line x + y = 1 and each step adds one to
+        x + y, so a shared point is vertex t of both for some t: the paths
+        meet exactly when their x coordinates, 1 apart at the start, meet."""
+        gap = 1  # lower's x minus upper's x
+        for a, b in zip(self.lower, self.upper):
+            gap += (a == "E") - (b == "E")
+            if not gap:
+                return False
+        return True
+
+
+_set_lower = LatticePathPair.lower.__set__
+_set_upper = LatticePathPair.upper.__set__
 
 
 _PAIR_TO_STEP = {("E", "N"): NE, ("N", "E"): SE, ("N", "N"): E1, ("E", "E"): E2}

@@ -121,14 +121,27 @@ def classical_hist(n: int) -> tuple[int, ...]:
     return tuple(hist)
 
 
+# n -> the widest tail searched so far; a search to k counts every c <= k.
+_TAILS: dict[int, tuple[int, ...]] = {}
+
+
 def classical_tail(n: int, k: int) -> tuple[int, ...]:
     """hist[c] for c <= k: #permutations of n with c classical 1-3-2 occurrences.
 
     Permutations are built by prefix.  Occurrences only accrue as a prefix
-    grows, so a prefix is dropped once its count exceeds k.
+    grows, so a prefix is dropped once its count exceeds k.  A search to k
+    counts every smaller bound too, so the widest search made for n answers
+    every k up to its own.
     """
     if not 1 <= n <= kernels.PERMUTATION_CAP:
         raise ValueError(f"n must be in 1..{kernels.PERMUTATION_CAP}")
+    hist = _TAILS.get(n, ())
+    if len(hist) <= k:
+        hist = _TAILS[n] = _tail_search(n, k)
+    return hist[: k + 1]
+
+
+def _tail_search(n: int, k: int) -> tuple[int, ...]:
     hist = [0] * (k + 1)
 
     def rec(prefix: list[int], unused: list[int], count: int):

@@ -9,6 +9,7 @@ import pytest
 
 from pasep import closedforms, crosscheck, paths
 from pasep.laurent import LaurentPoly, NotDivisible
+from pasep.qcombinat import catalan
 
 
 def _fields(reports):
@@ -85,3 +86,26 @@ def test_cli_import_loads_no_pool_modules():
         [sys.executable, "-c", code], capture_output=True, check=True, text=True
     ).stdout
     assert out == "[]\n"
+
+
+def test_round_trip_visits_every_labelled_path(monkeypatch):
+    """decompose and recompose run once per labelled path of each length
+    n <= 5: 2^n C(n+1) paths, 4 + 20 + 112 + 672 + 4224 in all."""
+    calls = {"decompose": 0, "recompose": 0}
+
+    def counted(name):
+        fn = getattr(paths, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(paths, name, counted(name))
+    report = crosscheck.check_decompose_roundtrip(5)
+    assert report.ok and report.sizes == (1, 2, 3, 4, 5)
+    total = sum(2**n * catalan(n + 1) for n in report.sizes)
+    assert total == 5032
+    assert calls == {"decompose": total, "recompose": total}

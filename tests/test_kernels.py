@@ -52,8 +52,32 @@ def test_permutation_tables_match_definitions(n):
     assert kernels.wex_crossing_counts(n) == wex
 
 
+def test_crossing_table_matches_definitions_at_8():
+    n = 8
+    wex = [[0] * (n * (n - 1) // 2 + 1) for _ in range(n + 1)]
+    for w in permstats.iter_permutations(n):
+        wex[permstats.weak_exceedances(w)][permstats.crossings(w)] += 1
+    assert kernels.wex_crossing_counts(n) == wex
+
+
+def test_crossing_table_at_cap_has_eulerian_marginals():
+    """At n = 9, the table sums to 9! and its weak-exceedance marginals are
+    the Eulerian numbers A(9, e - 1), from their alternating sum."""
+    n = kernels.PERMUTATION_CAP
+
+    def eulerian(k):
+        return sum(
+            (-1) ** i * math.comb(n + 1, i) * (k + 1 - i) ** n for i in range(k + 1)
+        )
+
+    counts = kernels.wex_crossing_counts(n)
+    assert sum(map(sum, counts)) == math.factorial(n)
+    assert [sum(row) for row in counts] == [0] + [eulerian(e - 1) for e in range(1, n + 1)]
+
+
 @pytest.mark.parametrize("n", range(1, 9))
-def test_classical_tail_matches_joint_histogram(n):
+def test_classical_tail_matches_joint_histogram(n, monkeypatch):
+    monkeypatch.setattr(permstats, "_TAILS", {})  # search at each k afresh
     full = [0] * (n * (n - 1) * (n - 2) // 6 + 4)
     for row in kernels.vincular_classical_joint(n):
         for c, v in enumerate(row):
@@ -61,6 +85,20 @@ def test_classical_tail_matches_joint_histogram(n):
     for k in range(4):
         assert permstats.classical_tail(n, k) == tuple(full[: k + 1]), (n, k)
         assert permstats.psi(k, n) == sum(full[: k + 1])
+
+
+def test_classical_tail_reuses_the_widest_search(monkeypatch):
+    monkeypatch.setattr(permstats, "_TAILS", {})
+    wide = permstats.classical_tail(7, 3)
+
+    def refuse(n, k):
+        raise AssertionError("searched again")
+
+    monkeypatch.setattr(permstats, "_tail_search", refuse)
+    assert [permstats.classical_tail(7, k) for k in range(4)] == [
+        wide[: k + 1] for k in range(4)
+    ]
+    assert permstats.psi(1, 7) == sum(wide[:2])
 
 
 def test_table_totals_are_factorials():

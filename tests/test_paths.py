@@ -1,5 +1,8 @@
 """Motzkin transfer polynomial, labelled sums, decomposition and LGV checks."""
 
+import copy
+import dataclasses
+import pickle
 from itertools import product
 
 import pytest
@@ -180,6 +183,78 @@ def test_lgv_intersecting_rejected():
     assert not pair.is_nonintersecting()
     with pytest.raises(paths.IntersectingPair):
         paths.pair_to_left_factor(pair)
+
+
+def test_lgv_nonintersecting_is_no_shared_vertex():
+    """is_nonintersecting against its definition: the two vertex sets are
+    disjoint, lower starting at (1,0) and upper at (0,1)."""
+
+    def vertices(start, steps):
+        x, y = start
+        out = {(x, y)}
+        for s in steps:
+            x, y = (x + 1, y) if s == "E" else (x, y + 1)
+            out.add((x, y))
+        return out
+
+    for n in range(7):
+        for lower in product("NE", repeat=n):
+            for upper in product("NE", repeat=n):
+                pair = paths.LatticePathPair(lower, upper)
+                want = not vertices((1, 0), lower) & vertices((0, 1), upper)
+                assert pair.is_nonintersecting() == want, (lower, upper)
+
+
+@dataclasses.dataclass(frozen=True)
+class _DataclassPair:
+    """LatticePathPair as the frozen dataclass it behaves as."""
+
+    lower: tuple
+    upper: tuple
+
+    def __post_init__(self):
+        if len(self.lower) != len(self.upper):
+            raise ValueError("paths must have equal length")
+        for s in self.lower + self.upper:
+            if s not in ("N", "E"):
+                raise ValueError(f"bad step {s!r}")
+
+
+def test_lattice_path_pair_behaves_as_frozen_dataclass():
+    fields = (("E", "N"), ("N", "E"))
+    pair, ref = paths.LatticePathPair(*fields), _DataclassPair(*fields)
+    assert (pair.lower, pair.upper) == fields
+    assert repr(pair) == repr(ref).replace("_DataclassPair", "LatticePathPair")
+    assert repr(pair) == "LatticePathPair(lower=('E', 'N'), upper=('N', 'E'))"
+    assert hash(pair) == hash(ref) == hash(fields)
+    assert pair == paths.LatticePathPair(*fields)
+    assert pair != paths.LatticePathPair(("E", "E"), ("N", "E"))
+    assert pair != fields and pair.__eq__(ref) is NotImplemented
+    assert len({pair, paths.LatticePathPair(*fields)}) == 1
+    for obj in (pair, ref):
+        for name in ("lower", "other"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(obj, name, ())
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(obj, name)
+    assert (pair.lower, pair.upper) == fields
+    for clone in (copy.copy(pair), copy.deepcopy(pair), pickle.loads(pickle.dumps(pair))):
+        assert type(clone) is paths.LatticePathPair and clone == pair
+
+
+@pytest.mark.parametrize(
+    "lower, upper, message",
+    [
+        (("N",), (), "paths must have equal length"),
+        (("N", "X"), ("E", "E"), "bad step 'X'"),
+        (("N",), ("e",), "bad step 'e'"),
+    ],
+)
+def test_lattice_path_pair_rejects_what_the_dataclass_rejects(lower, upper, message):
+    for cls in (paths.LatticePathPair, _DataclassPair):
+        with pytest.raises(ValueError) as err:
+            cls(lower, upper)
+        assert str(err.value) == message
 
 
 def test_lgv_bijection_exhaustive():
