@@ -155,43 +155,38 @@ def scalar_products_upto(m: OperatorMatrix, k_max: int) -> list[LaurentPoly]:
         raise TruncationTooSmall(
             f"need dim >= {k_max + 2} for power {k_max}, got {m.dim}"
         )
-    n = m.dim
-    w, v = boundary_vectors(n)
-    # Row i of m as its nonzero entries only: (column, entry) pairs.
-    nonzero = [[(j, e) for j, e in enumerate(row) if not e.is_zero] for row in m.rows]
+    w, v = boundary_vectors(m.dim)
+    nonzero = _nonzero_entries(m)
     vec = list(w)
     out = [sum((a * b for a, b in zip(vec, v)), ZERO)]
     for _ in range(k_max):
-        nxt = [ZERO] * n
-        for x, row in zip(vec, nonzero):
-            if not x.is_zero:
-                for j, e in row:
-                    nxt[j] = nxt[j] + x * e
-        vec = nxt
+        vec = _times(vec, nonzero)
         out.append(sum((a * b for a, b in zip(vec, v)), ZERO))
     return out
 
 
-def _leading_power_rows(
-    m: OperatorMatrix, k_max: int, count: int
-) -> list:
+def _nonzero_entries(m: OperatorMatrix) -> list[list[tuple[int, LaurentPoly]]]:
+    """Row i of m as its nonzero entries only: (column, entry) pairs."""
+    return [[(j, e) for j, e in enumerate(row) if not e.is_zero] for row in m.rows]
+
+
+def _times(vec, nonzero) -> list[LaurentPoly]:
+    """The row vector vec times the matrix whose rows' nonzero entries are nonzero."""
+    out = [ZERO] * len(nonzero)
+    for x, row in zip(vec, nonzero):
+        if not x.is_zero:
+            for j, e in row:
+                out[j] = out[j] + x * e
+    return out
+
+
+def _leading_power_rows(m: OperatorMatrix, k_max: int, count: int) -> list:
     """Rows 0..count-1 of m^k for k = 0..k_max.  Row i of m^k is row i of
     m^(k-1) times m, so the other rows are never needed."""
-    n = m.dim
-    nonzero = [[(j, e) for j, e in enumerate(row) if not e.is_zero] for row in m.rows]
-    rows = identity(n).rows[:count]
-    out = [rows]
+    nonzero = _nonzero_entries(m)
+    out = [identity(m.dim).rows[:count]]
     for _ in range(k_max):
-        nxt = []
-        for vec in rows:
-            new = [ZERO] * n
-            for x, row in zip(vec, nonzero):
-                if not x.is_zero:
-                    for j, e in row:
-                        new[j] = new[j] + x * e
-            nxt.append(new)
-        rows = nxt
-        out.append(rows)
+        out.append([_times(vec, nonzero) for vec in out[-1]])
     return out
 
 
