@@ -41,7 +41,7 @@ def mutate(monkeypatch):
     """mutate(owner, name, old, new): owner.name with the one line that reads
     `old` (indentation aside) replaced by `new`, compiled against its
     module's globals."""
-    # One usable CPU: the checks run in this process, where the patch is.
+    # One usable CPU: run_all runs the checks here, and forks no worker per defect.
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     _clear_caches()
 
