@@ -4,9 +4,9 @@ Each check is declared once, with its report name and the sizes it runs at
 for a given n_max.  Exhaustive methods stop at their own feasibility caps and
 cheap closed forms may run past n_max, so a single n_max steers everything,
 and every report records the sizes it covered.  A check body takes those
-sizes and yields one string per violation.  The CLI `crosscheck` verb runs
-the whole list, on every usable CPU; the acceptance test suite drives the
-same functions.
+sizes, or one part of them, and yields one string per violation.  The CLI
+`crosscheck` verb runs the whole list, on every usable CPU; the acceptance
+test suite drives the same functions.
 """
 
 from __future__ import annotations
@@ -14,24 +14,33 @@ from __future__ import annotations
 import functools
 import os
 import sys
-from itertools import product, repeat
+from itertools import groupby, product, repeat
+from operator import itemgetter
 
 from .laurent import ONE, Q, Y, ZERO, LaurentPoly
 from . import ansatz, closedforms, kernels, paths, permstats, rooks
 from .report import CheckReport
 
 
-def _check(name: str, sizes):
-    """Declare body(sizes) -> violations as check(n_max) -> CheckReport,
-    run at sizes(n_max)."""
+def _check(name: str, sizes, parts=lambda ns: (ns,)):
+    """Declare body(part) -> violations as check(n_max) -> CheckReport, run
+    at sizes(n_max).
+
+    The body runs once per element of parts(sizes), in order, and the report
+    joins their violations; by default the one part is the sizes themselves.
+    check.parts(n_max) lists those parts, and check(n_max, part) reports on
+    one of them alone, so run_all can spread a long check across processes.
+    """
 
     def declare(body):
         @functools.wraps(body)
-        def check(n_max: int) -> CheckReport:
+        def check(n_max: int, part=None) -> CheckReport:
             ns = tuple(sizes(n_max))
-            violations = list(body(ns))
+            chosen = parts(ns) if part is None else (part,)
+            violations = [v for piece in chosen for v in body(piece)]
             return CheckReport(name, not violations, violations, ns)
 
+        check.parts = lambda n_max: tuple(parts(tuple(sizes(n_max))))
         return check
 
     return declare
@@ -137,21 +146,28 @@ def check_left_factor_counts(ns):
                     yield f"(n,k,j)=({n},{k},{j}): {a} != {b}"
 
 
-@_check("decomposition round-trip", _upto(7))
-def check_decompose_roundtrip(ns):
+# One part per (size, first step).  The largest, NE or NE* first at n = 7,
+# holds 17 % of the paths, so a pool can balance the parts with the rest.
+@_check(
+    "decomposition round-trip",
+    _upto(7),
+    parts=lambda ns: [(n, step) for n in ns for step in paths.first_steps()],
+)
+def check_decompose_roundtrip(part):
+    """One part: the paths of length n that begin with the step first."""
+    n, first = part
     decompose, recompose, SE, E1 = paths.decompose, paths.recompose, paths.SE, paths.E1
-    for n in ns:
-        for p in paths.iter_labelled_paths(n):
-            left, core = decompose(p)
-            if not core.in_core_set():
-                yield f"core not in core set for {p.serialize()}"
-                continue
-            if recompose(left, core) != p:
-                yield f"round trip failed for {p.serialize()}"
-            j = left.count(SE) + left.count(E1)
-            sign, e_q, e_y = core.signed_exponents()
-            if (sign, e_q, e_y + j) != p.signed_exponents():
-                yield f"weight split failed for {p.serialize()}"
+    for p in paths.iter_labelled_paths(n, prefix=(first,)):
+        left, core = decompose(p)
+        if not core.in_core_set():
+            yield f"core not in core set for {p.serialize()}"
+            continue
+        if recompose(left, core) != p:
+            yield f"round trip failed for {p.serialize()}"
+        j = left.count(SE) + left.count(E1)
+        sign, e_q, e_y = core.signed_exponents()
+        if (sign, e_q, e_y + j) != p.signed_exponents():
+            yield f"weight split failed for {p.serialize()}"
 
 
 @_check("lgv bijection round-trip", _upto(7, start=0))
@@ -473,24 +489,28 @@ CHECKS = (
 )
 
 
-def _run_check(index: int, n_max: int) -> CheckReport:
-    return CHECKS[index](n_max)
+def _run_check(index: int, part, n_max: int) -> CheckReport:
+    return CHECKS[index](n_max, part)
 
 
 def run_all(n_max: int) -> list[CheckReport]:
     """Run every check; reports come back in the declared order.
 
     The checks share no state beyond memoised results, so they run in a
-    pool of forked processes, one per usable CPU (at most one per check).  A
-    forked worker inherits this process's modules as they stand, caches and
-    any patched functions included, so it is sent only the check's index.
-    The pool forks every worker before it starts its own thread.  With one
-    usable CPU the checks run in this process and nothing is forked.
+    pool of forked processes, one per usable CPU (at most one per part).
+    Each part of each check is one task, submitted in the declared order,
+    and the parts' reports are joined in that order into the check's report,
+    so a long check split into parts keeps every worker busy.  A forked
+    worker inherits this process's modules as they stand, caches and any
+    patched functions included, so it is sent only the check's index and
+    the part.  The pool forks every worker before it starts its own thread.
+    With one usable CPU the checks run in this process and nothing is forked.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
+    tasks = [(i, part) for i, check in enumerate(CHECKS) for part in check.parts(n_max)]
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    workers = min(len(CHECKS), cpus)
+    workers = min(len(tasks), cpus)
     if workers < 2:
         return [check(n_max) for check in CHECKS]
 
@@ -501,9 +521,18 @@ def run_all(n_max: int) -> list[CheckReport]:
     sys.stderr.flush()
     pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
     try:
-        return list(pool.map(_run_check, range(len(CHECKS)), repeat(n_max)))
+        indices, parts = zip(*tasks)
+        reports = list(pool.map(_run_check, indices, parts, repeat(n_max)))
     finally:
         pool.shutdown(cancel_futures=True)
+    joined = []
+    for _, group in groupby(zip(indices, reports), key=itemgetter(0)):
+        pieces = [report for _, report in group]
+        violations = [v for report in pieces for v in report.violations]
+        joined.append(
+            CheckReport(pieces[0].name, not violations, violations, pieces[0].sizes)
+        )
+    return joined
 
 
 __all__ = ["CHECKS", "run_all"] + [c.__name__ for c in CHECKS]

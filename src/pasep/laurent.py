@@ -10,7 +10,7 @@ them freely and are immutable after construction.
 
 Ring operations combine rows by C-level slice arithmetic (``map``,
 ``accumulate``) instead of per-term updates.  A term map ``{(e_q, e_y): c}``
-is built only at the boundary: ``terms``, serialisation, substitution and
+is built only at the boundary: ``terms``, serialisation, substitution for y and
 general long division.  The canonical term order used everywhere
 (serialisation, pretty printing) is lexicographic on ``(e_q, e_y)``,
 ascending.
@@ -309,17 +309,26 @@ class LaurentPoly:
         return self._eval(1, value)
 
     def _eval(self, axis: int, value):
-        terms = {(eq, ey): c for eq, ey, c in self.terms()}
         if value == 0:
+            terms = {(eq, ey): c for eq, ey, c in self.terms()}
             if any(k[axis] < 0 for k in terms):
                 raise PoleAtZero("substituting 0 into a negative power")
             return LaurentPoly({k: c for k, c in terms.items() if k[axis] == 0})
         v = Fraction(value)
         acc: dict = {}
-        for (eq, ey), c in terms.items():
-            e = (eq, ey)[axis]
-            key = (0, ey) if axis == 0 else (eq, 0)
-            acc[key] = acc.get(key, 0) + c * v**e
+        if axis == 0:
+            # Each row in one integer Horner pass: with v = num/den, the row
+            # c_0..c_m at q^lo sums to v^lo (sum_i c_i num^i den^(m-i)) / den^m.
+            num, den = v.numerator, v.denominator
+            for ey, (lo, row) in self._rows.items():
+                h, npow = 0, 1
+                for c in row:
+                    h = h * den + c * npow
+                    npow *= num
+                acc[(0, ey)] = Fraction(h, den ** (len(row) - 1)) * v**lo
+        else:
+            for eq, ey, c in self.terms():
+                acc[(eq, 0)] = acc.get((eq, 0), 0) + c * v**ey
         return LaurentPoly(
             {
                 k: int(c) if isinstance(c, Fraction) and c.denominator == 1 else c

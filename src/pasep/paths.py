@@ -168,18 +168,37 @@ def _extend(prefixes, top: int, restricted: bool):
                 yield steps + (step,), h + rise
 
 
-def iter_labelled_paths(n: int, restricted: bool = False):
-    """Yield every labelled closed path of length n (core subset if restricted).
+def _starting(prefixes, step):
+    """The prefixes whose last step is step."""
+    for item in prefixes:
+        if item[0][-1] == step:
+            yield item
+
+
+def iter_labelled_paths(n: int, restricted: bool = False, prefix=()):
+    """Yield every labelled closed path of length n (core subset if restricted)
+    that begins with the steps of prefix.
 
     Paths come in lexicographic order of their steps, kinds ordered NE, SE,
     E1, E2 and plain before starred.  Each level extends the prefixes of the
     one before by one step, lazily, so one prefix per level is held at once.
+    A prefix that no such path begins with yields nothing.
     """
+    if len(prefix) > n:
+        return
     level = iter([((), 0)])
     for pos in range(n):
         level = _extend(level, n - pos - 1, restricted)
+        if pos < len(prefix):
+            level = _starting(level, prefix[pos])
     for steps, _ in level:
         yield LabeledMotzkinPath(steps)
+
+
+def first_steps(restricted: bool = False) -> tuple:
+    """The steps a path can begin with, in the order iter_labelled_paths
+    yields them: its paths are those of each one-step prefix, in turn."""
+    return tuple(step for step, _ in _NEXT_STEPS[restricted, False, False])
 
 
 # -- generating polynomial by height-indexed transfer -----------------------
@@ -529,6 +548,7 @@ __all__ = [
     "LatticePathPair",
     "IntersectingPair",
     "iter_labelled_paths",
+    "first_steps",
     "motzkin_polynomial",
     "motzkin_polynomials_upto",
     "labelled_path_sum",

@@ -28,7 +28,7 @@ carries the y^k factor that the bare alternating sum omits).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
 
 from . import ansatz
@@ -73,11 +73,16 @@ class YoungBoundary:
 
     def cells(self) -> list[tuple[int, int]]:
         """All cells as (row position, column position) pairs, h < v."""
+        return list(self._cells)
+
+    @cached_property
+    def _cells(self) -> tuple[tuple[int, int], ...]:
+        """The cells, built once per shape: every placement on it reads them."""
         cols = self.columns()
-        return [(v, h) for v in self.rows() for h in cols if h < v]
+        return tuple((v, h) for v in self.rows() for h in cols if h < v)
 
     def cell_count(self) -> int:
-        return len(self.cells())
+        return len(self._cells)
 
 
 def iter_boundaries(n: int):
@@ -93,7 +98,7 @@ class RookPlacement:
     rooks: frozenset[tuple[int, int]]
 
     def __post_init__(self):
-        cells = set(self.shape.cells())
+        cells = self.shape._cells
         vs = set()
         hs = set()
         for v, h in self.rooks:
@@ -112,7 +117,7 @@ class RookPlacement:
             col_min[h] = min(col_min.get(h, v), v)
             row_max[v] = max(row_max.get(v, h), h)
         out = []
-        for v, h in self.shape.cells():
+        for v, h in self.shape._cells:
             if (v, h) in self.rooks:
                 continue
             if col_min.get(h, v + 1) < v:

@@ -76,6 +76,46 @@ def test_pool_raises_what_a_check_raises(pools, monkeypatch):
     assert pools == [2]
 
 
+def test_pool_joins_round_trip_parts_in_order(pools, monkeypatch):
+    # A core with a starred E2 step counts as outside the core set: the round
+    # trip reports violations, not an exception, in many of its parts.
+    in_core_set = paths.LabeledMotzkinPath.in_core_set
+    monkeypatch.setattr(
+        paths.LabeledMotzkinPath,
+        "in_core_set",
+        lambda self: in_core_set(self) and (paths.E2, True) not in self.steps,
+    )
+    check = crosscheck.check_decompose_roundtrip
+    want = check(5)
+    parts = check.parts(5)
+    assert len(parts) == 5 * len(paths.first_steps())
+    alone = [check(5, part) for part in parts]
+    failing = [part for part, report in zip(parts, alone) if not report.ok]
+    assert len(failing) > 10 and failing[0][0] == 1 and failing[-1][0] == 5
+    assert want.violations == [v for report in alone for v in report.violations]
+
+    reports = crosscheck.run_all(5)
+    assert pools == [2]
+    assert _fields(reports) == _fields(c(5) for c in crosscheck.CHECKS)
+    (got,) = [r for r in reports if r.name == want.name]
+    assert _fields([got]) == _fields([want])
+    assert not got.ok and got.sizes == (1, 2, 3, 4, 5)
+
+
+def test_pool_raises_what_a_part_raises(pools, monkeypatch):
+    recompose = paths.recompose
+
+    def broken(left, core):  # only in the parts whose paths begin with E1
+        if left[0] == paths.E1:
+            raise paths.IntersectingPair("broken on purpose")
+        return recompose(left, core)
+
+    monkeypatch.setattr(paths, "recompose", broken)
+    with pytest.raises(paths.IntersectingPair):
+        crosscheck.run_all(3)
+    assert pools == [2]
+
+
 def test_cli_import_loads_no_pool_modules():
     code = (
         "import sys, pasep.cli; "

@@ -95,6 +95,41 @@ def test_eval_examples():
     assert (Q + ONE).eval_q(Fraction(1, 2)) == LaurentPoly({(0, 0): Fraction(3, 2)})
 
 
+def reference_eval(p, axis, value):
+    """p with value put for q (axis 0) or y (axis 1), term by term."""
+    v = Fraction(value)
+    out = {}
+    for e_q, e_y, c in p.terms():
+        key = (0, e_y) if axis == 0 else (e_q, 0)
+        out[key] = out.get(key, 0) + c * v ** (e_q, e_y)[axis]
+    return {k: c for k, c in out.items() if c}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    any_polys,
+    st.fractions(max_denominator=50).filter(bool) | st.integers(-9, 9).filter(bool),
+    st.fractions(max_denominator=50).filter(bool) | st.integers(-9, 9).filter(bool),
+)
+def test_eval_matches_term_by_term_reference(p, q, y):
+    at_q = p.eval_q(q)
+    assert dict(((e_q, e_y), c) for e_q, e_y, c in at_q.terms()) == reference_eval(p, 0, q)
+    assert all(type(c) is int or c.denominator > 1 for _, _, c in at_q.terms())
+    # The coefficients are now Fractions: substitute y into them.
+    both = at_q.eval_y(y)
+    assert dict(((e_q, e_y), c) for e_q, e_y, c in both.terms()) == reference_eval(at_q, 1, y)
+    assert both == p.eval_y(y).eval_q(q)
+
+
+def test_eval_q_examples():
+    p = LaurentPoly({(-3, 0): 2, (1, 0): -1, (-1, 2): 5, (4, 2): 7})
+    want = {(0, 0): Fraction(-31, 2), (0, 2): Fraction(-153, 16)}
+    assert p.eval_q(Fraction(-1, 2)) == LaurentPoly(want)
+    assert p.eval_q(-2) == LaurentPoly({(0, 0): Fraction(7, 4), (0, 2): Fraction(219, 2)})
+    assert p.eval_q(1) == LaurentPoly({(0, 0): 1, (0, 2): 12})
+    assert type(p.eval_q(1).coeff(0, 2)) is int
+
+
 def test_eval_y_pole():
     with pytest.raises(PoleAtZero):
         LaurentPoly.monomial(1, 0, -1).eval_y(0)

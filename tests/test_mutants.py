@@ -24,6 +24,7 @@ from pasep import (
     qcombinat,
     rooks,
 )
+from pasep.laurent import NotDivisible
 
 N_MAX = 5
 
@@ -68,17 +69,19 @@ def _failing(n_max=N_MAX):
     }
 
 
-def _raising(n_max=N_MAX):
-    """The checks that raise, run one by one; every other check must pass."""
-    raised = set()
+def _outcomes(n_max=N_MAX):
+    """The checks run one by one: each that does not pass, mapped to "fails"
+    or to the name of the exception it raises."""
+    out = {}
     for check in crosscheck.CHECKS:
         try:
             report = check(n_max)
-        except ValueError:
-            raised.add(check.__name__)
+        except (ArithmeticError, ValueError) as exc:
+            out[check.__name__] = type(exc).__name__
         else:
-            assert report.ok, report.name
-    return raised
+            if not report.ok:
+                out[check.__name__] = "fails"
+    return out
 
 
 def test_unpatched_battery_passes(mutate):
@@ -106,7 +109,7 @@ def test_decompose_keeps_open_nes_plain(mutate):
     mutate(paths, "decompose", "core += [_PLAIN_NE] * open_ne", "pass")
     with pytest.raises(ValueError, match="dips below the axis"):
         crosscheck.run_all(N_MAX)
-    assert _raising() == {"check_decompose_roundtrip"}
+    assert _outcomes() == {"check_decompose_roundtrip": "ValueError"}
 
 
 def test_recompose_fills_slots_in_reverse(mutate):
@@ -120,7 +123,7 @@ def test_recompose_fills_slots_in_reverse(mutate):
     )
     with pytest.raises(ValueError, match="dips below the axis"):
         crosscheck.run_all(N_MAX)
-    assert _raising() == {"check_decompose_roundtrip"}
+    assert _outcomes() == {"check_decompose_roundtrip": "ValueError"}
 
 
 def test_starred_up_step_shifted_by_h(mutate):
@@ -153,3 +156,51 @@ def test_lattice_pairs_one_apart_count_as_meeting(mutate):
     # left factor that returns to height 0 drops out of the image.
     mutate(paths.LatticePathPair, "is_nonintersecting", "if not gap:", "if gap <= 1:")
     assert _failing() == {"check_lgv_bijection"}
+
+
+def test_motzkin_up_step_shifted_in_q(mutate):
+    # NE and E1 at height h weigh y [h+2]_q instead of y [h+1]_q in the
+    # transfer: the two checks that read the Motzkin route catch it.
+    mutate(
+        paths,
+        "motzkin_polynomials_upto",
+        "up = p * (Y * q_int(h + 1))  # weight y*[h+1]_q: NE and E1",
+        "up = p * (Y * q_int(h + 2))",
+    )
+    assert _failing() == {
+        "check_motzkin_vs_theorem1",
+        "check_signed_paths_extraction",
+    }
+
+
+def test_core_closed_form_exponent(mutate, monkeypatch):
+    # y^i weighs q^(i(k-i)) instead of q^(i(k+1-i)).  theorem1 is built on
+    # this closed form, so the defect reaches it too: its exact division by
+    # (1-q)^2 has no quotient and every route compared with theorem1 raises,
+    # which stops the battery.  Only the two core-series checks report it.
+    mutate(
+        paths,
+        "core_closed_form",
+        "return LaurentPoly({(i * (k + 1 - i), i): 1 for i in range(k + 1)})",
+        "return LaurentPoly({(i * (k - i), i): 1 for i in range(k + 1)})",
+    )
+    monkeypatch.setattr(closedforms, "core_closed_form", paths.core_closed_form)
+    with pytest.raises(NotDivisible):
+        crosscheck.run_all(N_MAX)
+    theorem1 = (
+        "check_matrix_vs_theorem1",
+        "check_motzkin_vs_theorem1",
+        "check_permutations_ascent_vs_theorem1",
+        "check_permutations_crossing_vs_theorem1",
+        "check_rook_route_vs_theorem1",
+        "check_williams_vs_theorem1",
+        "check_narayana",
+        "check_small_q_coefficients",
+    )
+    assert _outcomes() == {
+        **dict.fromkeys(theorem1, "NotDivisible"),
+        "check_core_closed_form": "fails",
+        "check_functional_equation": "fails",
+        # theorem1 at n = 1 divides exactly, to 0, which has no y-degrees.
+        "check_positivity_and_factorial": "ValueError",
+    }

@@ -173,6 +173,33 @@ def test_decompose_roundtrip_exhaustive():
         assert count == catalan(n + 1) * 2**n
 
 
+@pytest.mark.parametrize("restricted", [False, True])
+def test_paths_by_first_step_make_every_path(restricted):
+    for n in range(1, 8):
+        whole = [p.steps for p in paths.iter_labelled_paths(n, restricted)]
+        by_first = [
+            p.steps
+            for step in paths.first_steps(restricted)
+            for p in paths.iter_labelled_paths(n, restricted, prefix=(step,))
+        ]
+        assert by_first == whole
+
+
+def test_prefix_no_path_begins_with_yields_nothing():
+    ne, se, e2 = (paths.NE, False), (paths.SE, False), (paths.E2, False)
+    assert list(paths.iter_labelled_paths(1, prefix=(ne,))) == []  # cannot close
+    assert list(paths.iter_labelled_paths(3, prefix=(ne, ne))) == []
+    assert list(paths.iter_labelled_paths(3, prefix=(se,))) == []  # below the axis
+    assert list(paths.iter_labelled_paths(1, prefix=(e2, e2))) == []  # too long
+    # A plain east step is not a core step.
+    assert list(paths.iter_labelled_paths(2, True, prefix=(e2,))) == []
+    assert list(paths.iter_labelled_paths(3, prefix=(ne, ne, se))) == []
+    got = [p.serialize() for p in paths.iter_labelled_paths(2, prefix=(ne,))]
+    assert got == ["U D", "U D*"]
+    got = [p.serialize() for p in paths.iter_labelled_paths(2, prefix=(ne, se))]
+    assert got == ["U D"]
+
+
 def test_lgv_translation_example():
     pair = paths.LatticePathPair(("N", "N"), ("N", "N"))
     assert paths.pair_to_left_factor(pair) == (paths.E1, paths.E1)

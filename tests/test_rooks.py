@@ -26,11 +26,17 @@ def test_weights():
 
 def test_placement_validation():
     hv = rooks.YoungBoundary.parse("HV")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="rook outside the diagram"):
         rooks.RookPlacement(hv, frozenset({(1, 2)}))
     sq = rooks.YoungBoundary.parse("HHVV")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="two rooks share a line"):
         rooks.RookPlacement(sq, frozenset({(3, 1), (3, 2)}))
+    with pytest.raises(ValueError, match="two rooks share a line"):
+        rooks.RookPlacement(sq, frozenset({(3, 1), (4, 1)}))
+    # A shape's cells, built once, are not changed through the list it returns.
+    sq.cells().clear()
+    assert sq.cell_count() == 4
+    assert rooks.RookPlacement(sq, frozenset({(4, 2)})).cross_cells() == [(3, 1), (3, 2)]
 
 
 def test_rook_sum_small():
