@@ -497,7 +497,7 @@ def run_all(n_max: int) -> list[CheckReport]:
     """Run every check; reports come back in the declared order.
 
     The checks share no state beyond memoised results, so they run in a
-    pool of forked processes, one per usable CPU (at most one per part).
+    pool of forked processes, one per usable CPU (at most one per check).
     Each part of each check is one task, submitted in the declared order,
     and the parts' reports are joined in that order into the check's report,
     so a long check split into parts keeps every worker busy.  A forked
@@ -508,20 +508,20 @@ def run_all(n_max: int) -> list[CheckReport]:
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    tasks = [(i, part) for i, check in enumerate(CHECKS) for part in check.parts(n_max)]
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    workers = min(len(tasks), cpus)
+    workers = min(len(CHECKS), cpus)
     if workers < 2:
         return [check(n_max) for check in CHECKS]
 
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
+    tasks = [(i, part) for i, check in enumerate(CHECKS) for part in check.parts(n_max)]
+    indices, parts = zip(*tasks)
     sys.stdout.flush()  # a forked child must not inherit unwritten output
     sys.stderr.flush()
     pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
     try:
-        indices, parts = zip(*tasks)
         reports = list(pool.map(_run_check, indices, parts, repeat(n_max)))
     finally:
         pool.shutdown(cancel_futures=True)
