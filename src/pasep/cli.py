@@ -18,7 +18,7 @@ import sys
 import time
 from fractions import Fraction
 
-from . import ansatz, closedforms, crosscheck, kernels, paths, permstats, rooks
+from . import kernels
 from .laurent import ONE_MINUS_Q, Y, LaurentPoly
 
 # Per-method size caps: exhaustive methods refuse rather than hang.
@@ -26,7 +26,7 @@ METHOD_CAPS = {
     "matrix": 40,
     "motzkin": 64,
     "signed-paths": kernels.SIGNED_PATH_CAP,
-    "rooks": rooks.ROOK_CAP,
+    "rooks": kernels.ROOK_CAP,
     "theorem1": 64,
     "williams": 64,
     "permutations-ascent": kernels.PERMUTATION_CAP,
@@ -35,31 +35,64 @@ METHOD_CAPS = {
 
 CROSSCHECK_CAP = 9
 
+# Each method imports the modules of its own route when it runs, so a
+# process loads only the route it evaluates.
+
 
 def _method_matrix(n: int) -> LaurentPoly:
+    from . import ansatz
+
     return Y * ansatz.scalar_product(ansatz.yd_plus_e(n + 2), n - 1)
 
 
+def _method_motzkin(n: int) -> LaurentPoly:
+    from . import paths
+
+    return paths.motzkin_polynomial(n)
+
+
 def _method_signed_paths(n: int) -> LaurentPoly:
+    from . import paths
+
     return paths.labelled_path_sum(n).exact_div(ONE_MINUS_Q**n)
 
 
+def _method_rooks(n: int) -> LaurentPoly:
+    from . import rooks
+
+    return rooks.partition_polynomial_via_rooks(n)
+
+
+def _method_theorem1(n: int) -> LaurentPoly:
+    from . import closedforms
+
+    return closedforms.partition_polynomial(n)
+
+
 def _method_williams(n: int) -> LaurentPoly:
+    from . import closedforms
+
     total = LaurentPoly.from_int(0)
     for m in range(1, n + 1):
         total = total + LaurentPoly.monomial(1, 0, m) * closedforms.y_coefficient_formula(m, n)
     return total
 
 
+def _method_permutations(n: int, statistic: str) -> LaurentPoly:
+    from . import permstats
+
+    return permstats.gen_polynomial(n, statistic)
+
+
 METHODS = {
     "matrix": _method_matrix,
-    "motzkin": paths.motzkin_polynomial,
+    "motzkin": _method_motzkin,
     "signed-paths": _method_signed_paths,
-    "rooks": rooks.partition_polynomial_via_rooks,
-    "theorem1": closedforms.partition_polynomial,
+    "rooks": _method_rooks,
+    "theorem1": _method_theorem1,
     "williams": _method_williams,
-    "permutations-ascent": lambda n: permstats.gen_polynomial(n, "ascent_pattern"),
-    "permutations-crossing": lambda n: permstats.gen_polynomial(n, "wex_crossing"),
+    "permutations-ascent": lambda n: _method_permutations(n, "ascent_pattern"),
+    "permutations-crossing": lambda n: _method_permutations(n, "wex_crossing"),
 }
 
 
@@ -168,6 +201,8 @@ def cmd_crosscheck(n_max: int, fmt: str) -> int:
     if n_max < 1:
         print("error: n-max must be >= 1", file=sys.stderr)
         return 2
+    from . import crosscheck
+
     t0 = time.monotonic()
     reports = crosscheck.run_all(n_max)
     elapsed = time.monotonic() - t0
@@ -209,6 +244,8 @@ def cmd_table(n_range: tuple[int, int], coeff: tuple[int, int], fmt: str) -> int
     clo, chi = coeff
     names = [f"q{m}" for m in range(clo, chi + 1)]
     sizes = list(range(lo, hi + 1))
+
+    from . import closedforms
 
     def row(n: int) -> list[int]:
         p = closedforms.partition_polynomial_y1(n)

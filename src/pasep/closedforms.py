@@ -19,51 +19,66 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, pi, sqrt
+from operator import add, neg
 
-from .laurent import ONE, Q, Y, ZERO, LaurentPoly
-from .paths import core_closed_form
+from .laurent import ONE, Q, ZERO, LaurentPoly
 from .qcombinat import binomial, catalan
 from .report import CheckReport
 
 
 @lru_cache(maxsize=None)
 def partition_polynomial(n: int) -> LaurentPoly:
-    """The size-n partition polynomial in y and q (alternating double sum)."""
+    """The size-n partition polynomial in y and q (alternating double sum).
+
+    With a_j(k) = binom(n,j) binom(n,j+k) - binom(n,j-1) binom(n,j+k+1), the
+    numerator's term for k, y^j from the binomial factor and y^i from the
+    q-power factor is (-1)^k a_j(k) y^(i+j) q^(i(k+1-i)).  With i and j
+    fixed, the exponent runs i, 2i, 3i, ... as k runs from i to n - j, so
+    the whole k-sum is one strided slice-add into the dense q-row of
+    y^(i+j); for i = 0 it is one scalar sum.
+    """
     if n < 1:
         raise ValueError("n >= 1 required")
-    num = ZERO
-    for k in range(n + 1):
-        outer = LaurentPoly(
-            {
-                (0, j): binomial(n, j) * binomial(n, j + k)
-                - binomial(n, j - 1) * binomial(n, j + k + 1)
-                for j in range(n - k + 1)
-            }
-        )
-        if outer.is_zero:
-            continue
-        term = outer * core_closed_form(k)
-        num = num + (term if k % 2 == 0 else -term)
+    # Row s holds the q-coefficients of y^s; its largest exponent, at i = s,
+    # is s(n+1-s).
+    rows = [[0] * (s * (n + 1 - s) + 1) for s in range(n + 1)]
+    for j in range(n + 1):
+        # signed[k] = (-1)^k a_j(k), for k = 0..n-j
+        signed = [
+            binomial(n, j) * binomial(n, j + k) - binomial(n, j - 1) * binomial(n, j + k + 1)
+            for k in range(n - j + 1)
+        ]
+        signed[1::2] = map(neg, signed[1::2])
+        rows[j][0] += sum(signed)
+        for i in range(1, n - j + 1):
+            row = rows[i + j]
+            stop = i * (n - i - j + 2)
+            row[i:stop:i] = map(add, row[i:stop:i], signed[i:])
+    num = LaurentPoly.from_rows({s: (0, row) for s, row in enumerate(rows)})
     return num.exact_div((ONE - Q) ** n)
 
 
 @lru_cache(maxsize=None)
 def partition_polynomial_y1(n: int) -> LaurentPoly:
-    """The y=1 specialisation, from its own central-binomial form."""
+    """The y=1 specialisation, from its own central-binomial form:
+
+        (1/(1-q)^n) * sum_k (-1)^k (binom(2n,n-k) - binom(2n,n-k-2))
+            * sum_{i=0..k} q^(i(k+1-i)).
+
+    With i fixed, the exponent runs i, 2i, 3i, ... as k runs from i to n,
+    so each i is one strided slice-add into one dense q-row.
+    """
     if n < 1:
         raise ValueError("n >= 1 required")
-    num = ZERO
-    for k in range(n + 1):
-        c = binomial(2 * n, n - k) - binomial(2 * n, n - k - 2)
-        if not c:
-            continue
-        inner_terms: dict = {}
-        for i in range(k + 1):
-            key = (i * (k + 1 - i), 0)  # exponents may repeat across i
-            inner_terms[key] = inner_terms.get(key, 0) + 1
-        term = LaurentPoly(inner_terms) * c
-        num = num + (term if k % 2 == 0 else -term)
-    return num.exact_div((ONE - Q) ** n)
+    # signed[k] = (-1)^k (binom(2n,n-k) - binom(2n,n-k-2)), for k = 0..n
+    signed = [binomial(2 * n, n - k) - binomial(2 * n, n - k - 2) for k in range(n + 1)]
+    signed[1::2] = map(neg, signed[1::2])
+    row = [0] * ((n + 1) ** 2 // 4 + 1)  # i(n+1-i) <= (n+1)^2/4
+    row[0] = sum(signed)
+    for i in range(1, n + 1):
+        stop = i * (n - i + 2)
+        row[i:stop:i] = map(add, row[i:stop:i], signed[i:])
+    return LaurentPoly.from_rows({0: (0, row)}).exact_div((ONE - Q) ** n)
 
 
 @lru_cache(maxsize=None)

@@ -361,7 +361,9 @@ def check_positivity_and_factorial(ns):
         if total != want:
             yield f"n={n}: total {total} != {want}"
         ys = p.y_support()
-        if min(ys) != 1 or max(ys) != n:
+        if not ys:
+            yield f"n={n}: no y-degrees"
+        elif min(ys) != 1 or max(ys) != n:
             yield f"n={n}: y-degrees {min(ys)}..{max(ys)}"
 
 

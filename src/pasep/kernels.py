@@ -29,6 +29,9 @@ MATCHING_CAP = 8
 # Largest length the left-factor table takes.
 LEFT_FACTOR_CAP = 16
 
+# Largest half-perimeter the exhaustive rook sums (and the rook route) take.
+ROOK_CAP = 9
+
 
 def ascent_pattern_counts(n: int) -> list[list[int]]:
     """counts[a][p] = #permutations of n with a ascents and p vincular 13-2 patterns.

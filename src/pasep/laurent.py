@@ -74,6 +74,19 @@ class LaurentPoly:
         return self
 
     @classmethod
+    def from_rows(cls, rows: dict) -> "LaurentPoly":
+        """The polynomial sum_{e_y} y^e_y q^lo (row[0] + row[1] q + ...), from
+        dense rows {e_y: (lo, row)}.  Each row is trimmed and an all-zero row
+        dropped; a row may become the polynomial's own, so the caller must
+        not modify it afterwards."""
+        out = {}
+        for ey, (lo, row) in rows.items():
+            trimmed = _trim(lo, row) if row else None
+            if trimmed:
+                out[ey] = trimmed
+        return cls._raw(out)
+
+    @classmethod
     def from_int(cls, c: int) -> "LaurentPoly":
         return cls._raw({0: (0, [c])} if c else {})
 

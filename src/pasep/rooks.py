@@ -32,15 +32,13 @@ from functools import cached_property, lru_cache
 from itertools import product
 
 from . import ansatz
+from .kernels import ROOK_CAP
 from .laurent import ONE, Q, Y, ZERO, LaurentPoly
 from .qcombinat import binomial, q_binomial, q_int
 from .report import CheckReport
 
 # p = (1-q)/q^2 = q^-2 - q^-1
 P_WEIGHT = LaurentPoly.monomial(1, -2, 0) - LaurentPoly.monomial(1, -1, 0)
-
-# Largest half-perimeter the exhaustive rook sums (and the rook route) take.
-ROOK_CAP = 9
 
 
 @dataclass(frozen=True)

@@ -92,6 +92,39 @@ def test_signed_paths_at_cap(capsys):
     assert "capped" in capsys.readouterr().err
 
 
+def test_signed_paths_equals_theorem1_up_to_cap():
+    """The signed-paths route against theorem1 at every size up to its cap;
+    a difference is named by its first term, as crosscheck reports it."""
+    sizes = range(1, cli.METHOD_CAPS["signed-paths"] + 1)
+    methods = cli.METHODS["signed-paths"], cli.METHODS["theorem1"]
+    assert list(crosscheck._differ(sizes, *methods)) == []
+
+
+ROUTE_MODULES = ("ansatz", "closedforms", "crosscheck", "paths", "permstats", "rooks")
+
+
+@pytest.mark.parametrize(
+    "argv, routes",
+    [
+        (None, []),
+        (["eval", "--method", "theorem1", "-n", "3"], ["closedforms"]),
+        (["eval", "--method", "motzkin", "-n", "3"], ["paths"]),
+        (["table", "1..3"], ["closedforms"]),
+    ],
+)
+def test_each_verb_loads_only_its_route(argv, routes):
+    """import pasep.cli loads no route module; a verb loads its own route."""
+    run = f"pasep.cli.main({argv!r}); " if argv else ""
+    code = (
+        "import sys, pasep.cli; " + run +
+        f"print(sorted(m for m in {ROUTE_MODULES!r} if 'pasep.' + m in sys.modules))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, check=True, text=True
+    ).stdout
+    assert out.splitlines()[-1] == repr(routes)
+
+
 def test_removed_flags_rejected():
     for verb in (["eval", "--method", "theorem1", "-n", "3"], ["crosscheck"], ["table", "1..3"]):
         for flag in ("--threads", "--seed", "--range"):

@@ -3,14 +3,36 @@
 import pytest
 
 from pasep import ansatz, closedforms as cf, paths
-from pasep.laurent import ONE, Q, Y
-from pasep.qcombinat import catalan
+from pasep.laurent import ONE, Q, Y, LaurentPoly
+from pasep.qcombinat import binomial, catalan
 
 
 def test_partition_polynomial_small():
     assert cf.partition_polynomial(1) == Y
     assert cf.partition_polynomial(2) == Y + Y**2
     assert cf.partition_polynomial(3) == Y**3 + (3 * ONE + Q) * Y**2 + Y
+
+
+def test_closed_forms_match_their_double_sums_term_by_term():
+    """Both closed forms against their alternating double sums, written out
+    one (k, i, j) term at a time into a (q, y) term map and then divided by
+    (1-q)^n."""
+    for n in range(1, 13):
+        terms, terms_y1 = {}, {}
+        for k in range(n + 1):
+            sign = (-1) ** k
+            c = binomial(2 * n, n - k) - binomial(2 * n, n - k - 2)
+            for i in range(k + 1):
+                e = i * (k + 1 - i)
+                terms_y1[(e, 0)] = terms_y1.get((e, 0), 0) + sign * c
+                for j in range(n - k + 1):
+                    a = binomial(n, j) * binomial(n, j + k) - binomial(
+                        n, j - 1
+                    ) * binomial(n, j + k + 1)
+                    terms[(e, i + j)] = terms.get((e, i + j), 0) + sign * a
+        den = (ONE - Q) ** n
+        assert cf.partition_polynomial(n) == LaurentPoly(terms).exact_div(den), n
+        assert cf.partition_polynomial_y1(n) == LaurentPoly(terms_y1).exact_div(den), n
 
 
 def test_partition_polynomial_vs_matrix():

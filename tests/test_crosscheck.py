@@ -8,7 +8,7 @@ import sys
 import pytest
 
 from pasep import closedforms, crosscheck, paths
-from pasep.laurent import LaurentPoly, NotDivisible
+from pasep.laurent import ZERO, LaurentPoly, NotDivisible
 from pasep.qcombinat import catalan
 
 
@@ -149,3 +149,17 @@ def test_round_trip_visits_every_labelled_path(monkeypatch):
     total = sum(2**n * catalan(n + 1) for n in report.sizes)
     assert total == 5032
     assert calls == {"decompose": total, "recompose": total}
+
+
+def test_positivity_reports_a_zero_polynomial(monkeypatch):
+    # A zero theorem1 has no y-degrees: the check names each size, rather
+    # than raising on the empty support.
+    monkeypatch.setattr(closedforms, "partition_polynomial", lambda n: ZERO)
+    report = crosscheck.check_positivity_and_factorial(2)
+    assert not report.ok
+    assert report.violations == [
+        "n=1: total 0 != 1",
+        "n=1: no y-degrees",
+        "n=2: total 0 != 2",
+        "n=2: no y-degrees",
+    ]

@@ -179,6 +179,30 @@ def test_cancellation_leaves_canonical_rows():
     assert len(ONE - Q**2) == 2
 
 
+def test_from_rows_trims_and_drops_zero_rows():
+    p = LaurentPoly.from_rows(
+        {0: (0, [0, 0]), 1: (-2, [0, 3, 0, -1, 0]), 2: (4, []), 3: (0, [7])}
+    )
+    assert p == LaurentPoly({(-1, 1): 3, (1, 1): -1, (0, 3): 7})
+    assert p.y_support() == [1, 3]
+    assert LaurentPoly.from_rows({0: (0, [0])}).is_zero
+
+
+@given(any_polys, st.integers(0, 3), st.integers(0, 3))
+def test_from_rows_of_padded_rows(p, before, after):
+    """Each row of p, padded with zeros at both ends, gives p back."""
+    rows = {}
+    for ey in p.y_support():
+        row = p.coeff_y(ey)
+        b = row.bounds()
+        dense = [row.coeff(eq, 0) for eq in range(b.q_min, b.q_max + 1)]
+        rows[ey] = (b.q_min - before, [0] * before + dense + [0] * after)
+    rows[9] = (0, [0] * after)  # a zero row, dropped
+    got = LaurentPoly.from_rows(rows)
+    assert got == p
+    assert hash(got) == hash(p)
+
+
 def test_pow_matches_repeated_multiplication():
     for p in (ONE + Q + Q**2, Y - 2 * Q, LaurentPoly.monomial(3, -1, 2) + ONE):
         power = ONE

@@ -173,18 +173,30 @@ def test_motzkin_up_step_shifted_in_q(mutate):
     }
 
 
-def test_core_closed_form_exponent(mutate, monkeypatch):
-    # y^i weighs q^(i(k-i)) instead of q^(i(k+1-i)).  theorem1 is built on
-    # this closed form, so the defect reaches it too: its exact division by
-    # (1-q)^2 has no quotient and every route compared with theorem1 raises,
-    # which stops the battery.  Only the two core-series checks report it.
+def test_core_closed_form_exponent(mutate):
+    # y^i weighs q^(i(k-i)) instead of q^(i(k+1-i)).  theorem1 builds its own
+    # double sum and does not read this closed form, so the battery runs to
+    # the end and only the two core-series checks report the defect.
     mutate(
         paths,
         "core_closed_form",
         "return LaurentPoly({(i * (k + 1 - i), i): 1 for i in range(k + 1)})",
         "return LaurentPoly({(i * (k - i), i): 1 for i in range(k + 1)})",
     )
-    monkeypatch.setattr(closedforms, "core_closed_form", paths.core_closed_form)
+    assert _failing() == {"check_core_closed_form", "check_functional_equation"}
+
+
+def test_theorem1_strided_slice_starts_one_late(mutate):
+    # Every k-sum with i >= 1 lands one power of q too high, so the
+    # numerator's y^1 row no longer sums to 0 and theorem1's exact division
+    # raises.  Every check that reads theorem1 raises with it, which stops
+    # the battery; the checks on the y = 1 form, which has its own loop, pass.
+    mutate(
+        closedforms,
+        "partition_polynomial",
+        "row[i:stop:i] = map(add, row[i:stop:i], signed[i:])",
+        "row[i + 1:stop:i] = map(add, row[i + 1:stop:i], signed[i:])",
+    )
     with pytest.raises(NotDivisible):
         crosscheck.run_all(N_MAX)
     theorem1 = (
@@ -196,11 +208,6 @@ def test_core_closed_form_exponent(mutate, monkeypatch):
         "check_williams_vs_theorem1",
         "check_narayana",
         "check_small_q_coefficients",
+        "check_positivity_and_factorial",
     )
-    assert _outcomes() == {
-        **dict.fromkeys(theorem1, "NotDivisible"),
-        "check_core_closed_form": "fails",
-        "check_functional_equation": "fails",
-        # theorem1 at n = 1 divides exactly, to 0, which has no y-degrees.
-        "check_positivity_and_factorial": "ValueError",
-    }
+    assert _outcomes() == dict.fromkeys(theorem1, "NotDivisible")
