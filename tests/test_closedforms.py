@@ -26,9 +26,10 @@ def test_closed_forms_match_their_double_sums_term_by_term():
                 e = i * (k + 1 - i)
                 terms_y1[(e, 0)] = terms_y1.get((e, 0), 0) + sign * c
                 for j in range(n - k + 1):
-                    a = binomial(n, j) * binomial(n, j + k) - binomial(
-                        n, j - 1
-                    ) * binomial(n, j + k + 1)
+                    a = (
+                        binomial(n, j) * binomial(n, j + k)
+                        - binomial(n, j - 1) * binomial(n, j + k + 1)
+                    )
                     terms[(e, i + j)] = terms.get((e, i + j), 0) + sign * a
         den = (ONE - Q) ** n
         assert cf.partition_polynomial(n) == LaurentPoly(terms).exact_div(den), n
