@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from .laurent import ONE, Q, Y, ZERO, LaurentPoly
 from .qcombinat import binomial, q_int
-from .report import CheckReport
 
 
 class TruncationTooSmall(ValueError):
@@ -190,8 +189,8 @@ def _leading_power_rows(m: OperatorMatrix, k_max: int, count: int) -> list:
     return out
 
 
-def verify_ansatz(n: int) -> CheckReport:
-    """Check DE - qED = D + E on the interior, and the boundary conditions."""
+def verify_ansatz(n: int) -> list[str]:
+    """Violations of DE - qED = D + E on the interior and of the boundary conditions."""
     d, e = build_D(n), build_E(n)
     lhs = d * e - (e * d).scale(Q)
     rhs = d + e
@@ -210,11 +209,11 @@ def verify_ansatz(n: int) -> CheckReport:
     w, v = boundary_vectors(n)
     if sum((a * b for a, b in zip(w, v)), ZERO) != ONE:
         violations.append("<W|V> != 1")
-    return CheckReport("ansatz relations", not violations, violations)
+    return violations
 
 
-def verify_hat_relations(n: int) -> CheckReport:
-    """Check D^E^ - q E^D^ = (1-q)/q^2 * I on the interior, plus boundaries."""
+def verify_hat_relations(n: int) -> list[str]:
+    """Violations of D^E^ - q E^D^ = (1-q)/q^2 I on the interior and at the boundary."""
     dh, eh = build_hat(build_D(n)), build_hat(build_E(n))
     lhs = dh * eh - (eh * dh).scale(Q)
     scalar = LaurentPoly.monomial(1, -2, 0) - LaurentPoly.monomial(1, -1, 0)
@@ -230,15 +229,15 @@ def verify_hat_relations(n: int) -> CheckReport:
             violations.append(f"<W|E^ differs at coordinate {j}")
         if dh.rows[j][0] != want:
             violations.append(f"D^|V> differs at coordinate {j}")
-    return CheckReport("hat relations", not violations, violations)
+    return violations
 
 
 def verify_inversion(
     n: int,
     printed_eq5: bool = False,
     y: LaurentPoly | int | None = None,
-) -> CheckReport:
-    """Check the two inversion formulas between (yD+E)^n and (yD^+E^)^n.
+) -> list[str]:
+    """Violations of the two inversion formulas between (yD+E)^n and (yD^+E^)^n.
 
     First identity: (1-q)^n (yD+E)^n = sum_k binom(n,k) (1+y)^(n-k) (-q)^k (yD^+E^)^k.
     Second identity: q^n (yD^+E^)^n = sum_k binom(n,k) (1+y)^(n-k) (-(1-q))^k (yD+E)^k.
@@ -280,9 +279,7 @@ def verify_inversion(
 
     compare("first", m_pows, one_minus_q**n, mh_pows, Q)
     compare("second", mh_pows, Q**n, pows5, one_minus_q)
-
-    label = "inversion formulas" + (" (printed variant)" if printed_eq5 else "")
-    return CheckReport(label, not violations, violations)
+    return violations
 
 
 __all__ = [

@@ -23,7 +23,6 @@ from operator import add, neg
 
 from .laurent import ONE, Q, ZERO, LaurentPoly
 from .qcombinat import binomial, catalan
-from .report import CheckReport
 
 
 @lru_cache(maxsize=None)
@@ -184,8 +183,8 @@ def narayana_number(n: int, m: int) -> int:
     return num // n
 
 
-def narayana_report(n: int) -> CheckReport:
-    """At q=0 the coefficient of y^m is the Narayana number N(n,m)."""
+def narayana_violations(n: int) -> list[str]:
+    """Where, at q=0, the coefficient of y^m is not the Narayana number N(n,m)."""
     at0 = partition_polynomial(n).eval_q(0)
     violations = []
     for m in range(0, n + 2):
@@ -193,7 +192,7 @@ def narayana_report(n: int) -> CheckReport:
         want = narayana_number(n, m) if 1 <= m <= n else 0
         if got != want:
             violations.append(f"y^{m}: got {got}, want {want}")
-    return CheckReport(f"narayana specialisation (n={n})", not violations, violations)
+    return violations
 
 
 def q1_y_coefficient(n: int, m: int) -> int:
@@ -233,7 +232,7 @@ __all__ = [
     "low_order_coefficients",
     "q10_coefficient",
     "narayana_number",
-    "narayana_report",
+    "narayana_violations",
     "q1_y_coefficient",
     "q2_y_coefficient",
     "asymptotic_ratio",

@@ -14,12 +14,39 @@ from __future__ import annotations
 import functools
 import os
 import sys
-from itertools import groupby, product, repeat
-from operator import itemgetter
+import traceback
+from dataclasses import dataclass
+from itertools import product, repeat
 
 from .laurent import ONE, Q, Y, ZERO, LaurentPoly
 from . import ansatz, closedforms, kernels, paths, permstats, rooks
-from .report import CheckReport
+
+
+@dataclass
+class CheckReport:
+    """Outcome of one check: its name, its violations, and the sizes it ran at."""
+
+    name: str
+    violations: list[str]
+    sizes: tuple[int, ...]
+
+    @property
+    def ok(self) -> bool:
+        return not self.violations
+
+    def summary(self) -> str:
+        head = f"{'PASS' if self.ok else 'FAIL'} {self.name}"
+        ns = self.sizes
+        if len(ns) > 1 and ns == tuple(range(ns[0], ns[-1] + 1)):
+            head += f" (sizes {ns[0]}..{ns[-1]})"
+        else:
+            head += f" (sizes {', '.join(map(str, ns))})"
+        if self.violations:
+            head += " [" + "; ".join(self.violations[:5])
+            if len(self.violations) > 5:
+                head += f"; ... {len(self.violations) - 5} more"
+            head += "]"
+        return head
 
 
 def _check(name: str, sizes, parts=lambda ns: (ns,)):
@@ -27,7 +54,8 @@ def _check(name: str, sizes, parts=lambda ns: (ns,)):
     at sizes(n_max).
 
     The body runs once per element of parts(sizes), in order, and the report
-    joins their violations; by default the one part is the sizes themselves.
+    joins their violations; by default the one part is the sizes themselves,
+    and a part that raises ends with the exception as one more violation.
     check.parts(n_max) lists those parts, and check(n_max, part) reports on
     one of them alone, so run_all can spread a long check across processes.
     """
@@ -36,9 +64,15 @@ def _check(name: str, sizes, parts=lambda ns: (ns,)):
         @functools.wraps(body)
         def check(n_max: int, part=None) -> CheckReport:
             ns = tuple(sizes(n_max))
-            chosen = parts(ns) if part is None else (part,)
-            violations = [v for piece in chosen for v in body(piece)]
-            return CheckReport(name, not violations, violations, ns)
+            violations = []
+            for piece in parts(ns) if part is None else (part,):
+                try:
+                    for violation in body(piece):
+                        violations.append(violation)
+                except Exception as exc:
+                    traceback.print_exc()
+                    violations.append(f"raised {type(exc).__name__}: {exc}")
+            return CheckReport(name, violations, ns)
 
         check.parts = lambda n_max: tuple(parts(tuple(sizes(n_max))))
         return check
@@ -66,13 +100,18 @@ def _fixed(*ns: int):
     return lambda n_max: ns
 
 
+def _first_term(a: LaurentPoly, b: LaurentPoly) -> str:
+    """The first term where a and b differ, with both coefficients."""
+    e_q, e_y, _ = next((a - b).terms())
+    return f"q^{e_q} y^{e_y}: {a.coeff(e_q, e_y)} vs {b.coeff(e_q, e_y)}"
+
+
 def _differ(ns, left, right):
     """For each n where left(n) != right(n), the first differing term."""
     for n in ns:
         a, b = left(n), right(n)
         if a != b:
-            e_q, e_y, _ = next((a - b).terms())
-            yield f"n={n}: q^{e_q} y^{e_y}: {a.coeff(e_q, e_y)} vs {b.coeff(e_q, e_y)}"
+            yield f"n={n}: {_first_term(a, b)}"
 
 
 @_check("matrix vs theorem1", _upto())
@@ -190,35 +229,33 @@ def check_lgv_bijection(ns):
 
 @_check("core functional equation", _upto(6, start=0))
 def check_functional_equation(ns):
-    yield from paths.check_functional_equation(ns[-1]).violations
+    yield from paths.check_functional_equation(ns[-1])
 
 
 @_check("ansatz relations", lambda n_max: (n_max + 2,))
 def check_ansatz_relations(ns):
     """The relations on the truncations of dimension ns."""
     for dim in ns:
-        yield from ansatz.verify_ansatz(dim).violations
+        yield from ansatz.verify_ansatz(dim)
 
 
 @_check("hat relations", lambda n_max: (n_max + 2,))
 def check_hat_relations(ns):
     """The hatted relations on the truncations of dimension ns."""
     for dim in ns:
-        yield from ansatz.verify_hat_relations(dim).violations
+        yield from ansatz.verify_hat_relations(dim)
 
 
 @_check("inversion formulas", _upto(6))
 def check_inversion_formulas(ns):
     for n in ns:
-        rep = ansatz.verify_inversion(n)
-        if not rep.ok:
-            yield from (f"n={n}: {v}" for v in rep.violations[:3])
+        yield from (f"n={n}: {v}" for v in ansatz.verify_inversion(n)[:3])
 
 
 @_check("printed second inversion fails at y=2", _fixed(1))
 def check_inversion_printed_variant(ns):
     for n in ns:
-        if ansatz.verify_inversion(n, printed_eq5=True, y=2).ok:
+        if not ansatz.verify_inversion(n, printed_eq5=True, y=2):
             yield "printed (D+E)^k variant unexpectedly holds at y=2"
 
 
@@ -239,8 +276,10 @@ def check_rook_ladder(ns):
             for j in range(k + 1):
                 if n - 2 * k + 2 * j < 0:
                     continue
-                if not rooks.check_factorization(j, k, n).ok:
-                    yield f"factorization differs at (j,k,n)=({j},{k},{n})"
+                a = rooks.column_weight_sum(j, k, n)
+                b = rooks.factorized_column_weight_sum(j, k, n)
+                if a != b:
+                    yield f"factorization differs at (j,k,n)=({j},{k},{n}): {_first_term(a, b)}"
 
 
 @_check("row-sum formula vs exhaustive", _upto(7))
@@ -333,8 +372,7 @@ def check_q10(ns):
 @_check("narayana specialisation", _upto(10, ahead=1))
 def check_narayana(ns):
     for n in ns:
-        if not closedforms.narayana_report(n).ok:
-            yield f"n={n}"
+        yield from (f"n={n}: {v}" for v in closedforms.narayana_violations(n))
 
 
 @_check("q y^m and q^2 y^m closed forms", _upto(10, ahead=1))
@@ -491,50 +529,46 @@ CHECKS = (
 )
 
 
-def _run_check(index: int, part, n_max: int) -> CheckReport:
-    return CHECKS[index](n_max, part)
+def _run_part(task, n_max: int) -> CheckReport:
+    return CHECKS[task[0]](n_max, task[1])
 
 
 def run_all(n_max: int) -> list[CheckReport]:
     """Run every check; reports come back in the declared order.
 
-    The checks share no state beyond memoised results, so they run in a
-    pool of forked processes, one per usable CPU (at most one per check).
-    Each part of each check is one task, submitted in the declared order,
-    and the parts' reports are joined in that order into the check's report,
-    so a long check split into parts keeps every worker busy.  A forked
-    worker inherits this process's modules as they stand, caches and any
-    patched functions included, so it is sent only the check's index and
-    the part.  The pool forks every worker before it starts its own thread.
-    With one usable CPU the checks run in this process and nothing is forked.
+    Each part of each check is one task, in the declared order, and the
+    parts' reports are joined in that order into the check's report.  With
+    one usable CPU the tasks run in this process.  Otherwise they run in a
+    pool of forked processes, one per usable CPU (at most one per check), so
+    a long check split into parts keeps every worker busy.  The checks share
+    no state beyond memoised results, and a forked worker inherits this
+    process's modules as they stand, caches and any patched functions
+    included, so it is sent only the check's index and the part.  The pool
+    forks every worker before it starts its own thread.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
+    tasks = [(i, part) for i, check in enumerate(CHECKS) for part in check.parts(n_max)]
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     workers = min(len(CHECKS), cpus)
     if workers < 2:
-        return [check(n_max) for check in CHECKS]
+        reports = map(_run_part, tasks, repeat(n_max))
+    else:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
 
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    tasks = [(i, part) for i, check in enumerate(CHECKS) for part in check.parts(n_max)]
-    indices, parts = zip(*tasks)
-    sys.stdout.flush()  # a forked child must not inherit unwritten output
-    sys.stderr.flush()
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
-    try:
-        reports = list(pool.map(_run_check, indices, parts, repeat(n_max)))
-    finally:
-        pool.shutdown(cancel_futures=True)
-    joined = []
-    for _, group in groupby(zip(indices, reports), key=itemgetter(0)):
-        pieces = [report for _, report in group]
-        violations = [v for report in pieces for v in report.violations]
-        joined.append(
-            CheckReport(pieces[0].name, not violations, violations, pieces[0].sizes)
-        )
-    return joined
+        sys.stdout.flush()  # a forked child must not inherit unwritten output
+        sys.stderr.flush()
+        pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+        try:
+            reports = list(pool.map(_run_part, tasks, repeat(n_max)))
+        finally:
+            pool.shutdown(cancel_futures=True)
+    joined: dict[int, CheckReport] = {}
+    for (i, _), report in zip(tasks, reports):
+        whole = joined.setdefault(i, CheckReport(report.name, [], report.sizes))
+        whole.violations += report.violations
+    return list(joined.values())
 
 
 __all__ = ["CHECKS", "run_all"] + [c.__name__ for c in CHECKS]

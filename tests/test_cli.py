@@ -219,6 +219,24 @@ def test_crosscheck_names_injected_failure(capsys, monkeypatch):
     assert "FAIL williams vs theorem1" in captured.out
 
 
+def test_crosscheck_reports_a_raising_route(capsys, monkeypatch):
+    def broken(n):
+        raise ArithmeticError("broken on purpose")
+
+    monkeypatch.setattr(paths, "motzkin_polynomial", broken)
+    assert run_cli(["crosscheck", "--n-max", "3", "--format", "json"]) == 1
+    captured = capsys.readouterr()
+    obj = json.loads(captured.out)
+    assert obj["ok"] is False and len(obj["checks"]) == len(crosscheck.CHECKS)
+    failed = [c for c in obj["checks"] if not c["ok"]]
+    assert failed[0] == {
+        "name": "motzkin vs theorem1",
+        "ok": False,
+        "violations": ["raised ArithmeticError: broken on purpose"],
+    }
+    assert "error: first failing identity: motzkin vs theorem1" in captured.err
+
+
 def test_crosscheck_names_first_differing_term(monkeypatch):
     orig = paths.motzkin_polynomial
 
@@ -306,7 +324,7 @@ def _public_functions(module):
     return out
 
 
-def test_every_public_operation_reachable_from_cli(capsys, monkeypatch):
+def test_every_public_operation_reachable_from_cli(capsys, monkeypatch, fresh_caches):
     """Drive each CLI verb and record which public operations execute."""
     # The calls are watched in this process, so crosscheck must not fork.
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
@@ -314,9 +332,6 @@ def test_every_public_operation_reachable_from_cli(capsys, monkeypatch):
     required = {}
     for mod in modules:
         required.update(_public_functions(mod))
-        for obj in vars(mod).values():  # drop memoized results from earlier tests
-            if hasattr(obj, "cache_clear"):
-                obj.cache_clear()
 
     hit = set()
     code_index = {}

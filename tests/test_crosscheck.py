@@ -66,14 +66,19 @@ def test_pool_names_a_patched_defect(pools, monkeypatch):
     assert failed["motzkin vs theorem1"] == [f"n=5: q^3 y^2: {want + 1} vs {want}"]
 
 
-def test_pool_raises_what_a_check_raises(pools, monkeypatch):
+def test_pool_reports_what_a_check_raises(pools, monkeypatch):
     def broken(n):
         raise NotDivisible("broken on purpose")
 
     monkeypatch.setattr(paths, "motzkin_polynomial", broken)
-    with pytest.raises(NotDivisible):
-        crosscheck.run_all(3)
+    reports = crosscheck.run_all(3)
     assert pools == [2]
+    assert _fields(reports) == _fields(check(3) for check in crosscheck.CHECKS)
+    raised = ["raised NotDivisible: broken on purpose"]
+    assert {r.name: r.violations for r in reports if not r.ok} == {
+        "motzkin vs theorem1": raised,
+        "signed-paths extraction": raised,
+    }
 
 
 def test_pool_joins_round_trip_parts_in_order(pools, monkeypatch):
@@ -102,7 +107,7 @@ def test_pool_joins_round_trip_parts_in_order(pools, monkeypatch):
     assert not got.ok and got.sizes == (1, 2, 3, 4, 5)
 
 
-def test_pool_raises_what_a_part_raises(pools, monkeypatch):
+def test_pool_reports_what_a_part_raises(pools, monkeypatch):
     recompose = paths.recompose
 
     def broken(left, core):  # only in the parts whose paths begin with E1
@@ -111,9 +116,15 @@ def test_pool_raises_what_a_part_raises(pools, monkeypatch):
         return recompose(left, core)
 
     monkeypatch.setattr(paths, "recompose", broken)
-    with pytest.raises(paths.IntersectingPair):
-        crosscheck.run_all(3)
+    reports = crosscheck.run_all(3)
     assert pools == [2]
+    assert _fields(reports) == _fields(check(3) for check in crosscheck.CHECKS)
+    # A plain first E1 stays in the left factor: each of the three parts
+    # that begin with one stops at its first path, and the other parts pass.
+    raised = ["raised IntersectingPair: broken on purpose"] * 3
+    assert {r.name: r.violations for r in reports if not r.ok} == {
+        "decomposition round-trip": raised
+    }
 
 
 def test_cli_import_loads_no_pool_modules():

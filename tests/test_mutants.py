@@ -1,10 +1,10 @@
 """One-line defects, each patched into one layer: which crosscheck checks
 catch it, and which still pass.
 
-Each defect replaces one line of one function's source and installs the
-result with monkeypatch.  Every memoised result is dropped before and after,
-so a cached value computed by the correct code cannot hide the defect, nor a
-defective one outlive its test.  The battery runs at n_max = 5.
+Each defect replaces one line of one function's source, or one constant,
+and installs the result with monkeypatch.  Every memoised result is dropped
+before and after, so a cached value computed by the correct code cannot hide
+the defect, nor a defective one outlive its test.  The battery runs at n_max = 5.
 """
 
 import inspect
@@ -14,37 +14,19 @@ import textwrap
 
 import pytest
 
-from pasep import (
-    ansatz,
-    closedforms,
-    crosscheck,
-    kernels,
-    paths,
-    permstats,
-    qcombinat,
-    rooks,
-)
-from pasep.laurent import NotDivisible
+from pasep import ansatz, closedforms, crosscheck, kernels, paths, permstats, rooks
+from pasep.laurent import LaurentPoly
 
 N_MAX = 5
 
 
-def _clear_caches():
-    for mod in (qcombinat, ansatz, paths, rooks, closedforms, permstats, crosscheck):
-        for obj in vars(mod).values():
-            if hasattr(obj, "cache_clear"):
-                obj.cache_clear()
-    permstats._TAILS.clear()
-
-
 @pytest.fixture
-def mutate(monkeypatch):
+def mutate(monkeypatch, fresh_caches):
     """mutate(owner, name, old, new): owner.name with the one line that reads
     `old` (indentation aside) replaced by `new`, compiled against its
     module's globals."""
     # One usable CPU: run_all runs the checks here, and forks no worker per defect.
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    _clear_caches()
 
     def apply(owner, name, old, new):
         func = inspect.unwrap(getattr(owner, name))
@@ -55,8 +37,7 @@ def mutate(monkeypatch):
         exec(compile("".join(lines), f"<mutant {name}>", "exec"), namespace)
         monkeypatch.setattr(owner, name, namespace[name])
 
-    yield apply
-    _clear_caches()
+    return apply
 
 
 def _failing(n_max=N_MAX):
@@ -69,19 +50,9 @@ def _failing(n_max=N_MAX):
     }
 
 
-def _outcomes(n_max=N_MAX):
-    """The checks run one by one: each that does not pass, mapped to "fails"
-    or to the name of the exception it raises."""
-    out = {}
-    for check in crosscheck.CHECKS:
-        try:
-            report = check(n_max)
-        except (ArithmeticError, ValueError) as exc:
-            out[check.__name__] = type(exc).__name__
-        else:
-            if not report.ok:
-                out[check.__name__] = "fails"
-    return out
+def _raised(check, n_max=N_MAX):
+    """The violations of check that report an exception."""
+    return [v for v in check(n_max).violations if v.startswith("raised ")]
 
 
 def test_unpatched_battery_passes(mutate):
@@ -107,9 +78,9 @@ def test_decompose_keeps_open_nes_plain(mutate):
     # An open plain NE stays in the left factor when a starred step ends its
     # run, so the core loses it and can dip below the axis.
     mutate(paths, "decompose", "core += [_PLAIN_NE] * open_ne", "pass")
-    with pytest.raises(ValueError, match="dips below the axis"):
-        crosscheck.run_all(N_MAX)
-    assert _outcomes() == {"check_decompose_roundtrip": "ValueError"}
+    assert _failing() == {"check_decompose_roundtrip"}
+    raised = set(_raised(crosscheck.check_decompose_roundtrip))
+    assert raised == {"raised ValueError: path dips below the axis"}
 
 
 def test_recompose_fills_slots_in_reverse(mutate):
@@ -121,9 +92,9 @@ def test_recompose_fills_slots_in_reverse(mutate):
         "for i, step in zip(slots, core.steps):",
         "for i, step in zip(reversed(slots), core.steps):",
     )
-    with pytest.raises(ValueError, match="dips below the axis"):
-        crosscheck.run_all(N_MAX)
-    assert _outcomes() == {"check_decompose_roundtrip": "ValueError"}
+    assert _failing() == {"check_decompose_roundtrip"}
+    raised = set(_raised(crosscheck.check_decompose_roundtrip))
+    assert raised == {"raised ValueError: path dips below the axis"}
 
 
 def test_starred_up_step_shifted_by_h(mutate):
@@ -189,17 +160,16 @@ def test_core_closed_form_exponent(mutate):
 def test_theorem1_strided_slice_starts_one_late(mutate):
     # Every k-sum with i >= 1 lands one power of q too high, so the
     # numerator's y^1 row no longer sums to 0 and theorem1's exact division
-    # raises.  Every check that reads theorem1 raises with it, which stops
-    # the battery; the checks on the y = 1 form, which has its own loop, pass.
+    # raises.  Every check that reads theorem1 fails, naming the exception,
+    # and the battery runs on; the checks on the y = 1 form, which has its
+    # own loop, pass.
     mutate(
         closedforms,
         "partition_polynomial",
         "row[i:stop:i] = map(add, row[i:stop:i], signed[i:])",
         "row[i + 1:stop:i] = map(add, row[i + 1:stop:i], signed[i:])",
     )
-    with pytest.raises(NotDivisible):
-        crosscheck.run_all(N_MAX)
-    theorem1 = (
+    theorem1 = {
         "check_matrix_vs_theorem1",
         "check_motzkin_vs_theorem1",
         "check_permutations_ascent_vs_theorem1",
@@ -209,5 +179,90 @@ def test_theorem1_strided_slice_starts_one_late(mutate):
         "check_narayana",
         "check_small_q_coefficients",
         "check_positivity_and_factorial",
+    }
+    assert _failing() == theorem1
+    raised = "raised NotDivisible: no exact quotient (y^1 row is not divisible by (1-q)^1)"
+    for name in theorem1:
+        assert _raised(getattr(crosscheck, name)) == [raised], name
+
+
+def test_starred_e2_made_plain_in_core_counts(mutate):
+    # The core DP weighs E2* as a plain step: +1 and no z.  The core sums and
+    # every check built on them fail; the labelled sums have their own DP.
+    mutate(
+        kernels,
+        "_core_path_counts",
+        "(h, False, True, 0, h),  # E2*",
+        "(h, False, False, 0, h),  # E2",
     )
-    assert _outcomes() == dict.fromkeys(theorem1, "NotDivisible")
+    assert _failing() == {
+        "check_decomposition_sum",
+        "check_core_closed_form",
+        "check_functional_equation",
+        "check_kernel_definitions",
+    }
+
+
+def test_build_e_below_diagonal_shifted(mutate):
+    # E's subdiagonal entry in row i is [i+2]_q instead of [i+1]_q: the
+    # Matrix Ansatz breaks, and with it every route through D and E.
+    mutate(
+        ansatz,
+        "build_E",
+        "[q_int(i + 1) if j in (i - 1, i) else ZERO for j in range(n)]",
+        "[q_int(i + 2 if j < i else i + 1) if j in (i - 1, i) else ZERO for j in range(n)]",
+    )
+    assert _failing() == {
+        "check_matrix_vs_theorem1",
+        "check_ansatz_relations",
+        "check_hat_relations",
+        "check_rook_sum_vs_matrix",
+        "check_boundary_reconciliation",
+    }
+
+
+def test_vincular_delta_off_by_one(mutate):
+    # Each ascent counts one 13-2 occurrence too many in the bulk kernel.
+    mutate(
+        kernels,
+        "ascent_pattern_counts",
+        "delta = width + (between & free).bit_count()",
+        "delta = width + (between & free).bit_count() + 1",
+    )
+    assert _failing() == {
+        "check_permutations_ascent_vs_theorem1",
+        "check_kernel_definitions",
+    }
+
+
+def test_hat_diagonal_without_inverse_q(mutate):
+    # The hat transform adds 1 instead of 1/q on the diagonal.
+    mutate(
+        ansatz,
+        "build_hat",
+        "m.rows[i][j] * _HAT_SCALE + (_Q_INV if i == j else ZERO)",
+        "m.rows[i][j] * _HAT_SCALE + (ONE if i == j else ZERO)",
+    )
+    assert _failing() == {
+        "check_hat_relations",
+        "check_inversion_formulas",
+        "check_rook_sum_vs_matrix",
+        "check_boundary_reconciliation",
+    }
+
+
+def test_rook_weight_exponent(mutate, monkeypatch):
+    # A rook weighs q^-3 - q^-1 instead of (1-q)/q^2.  The rook route's
+    # inversion no longer divides exactly; its check reports the exception.
+    # P_WEIGHT is a constant, so it is replaced whole; mutate still gives
+    # fresh caches and one CPU.
+    p = LaurentPoly.monomial(1, -3, 0) - LaurentPoly.monomial(1, -1, 0)
+    monkeypatch.setattr(rooks, "P_WEIGHT", p)
+    assert _failing() == {
+        "check_rook_sum_vs_matrix",
+        "check_rook_ladder",
+        "check_row_sum_formula",
+        "check_rook_route_vs_theorem1",
+    }
+    (raised,) = _raised(crosscheck.check_rook_route_vs_theorem1)
+    assert raised.startswith("raised NotDivisible: no exact quotient")
