@@ -187,9 +187,9 @@ def cmd_eval(
         return 2
     poly = METHODS[method](n)
     if q is not None:
-        poly = poly.eval_q(int(q) if q.denominator == 1 else q)
+        poly = poly.eval_q(q)
     if y is not None:
-        poly = poly.eval_y(int(y) if y.denominator == 1 else y)
+        poly = poly.eval_y(y)
     _print_poly(poly, fmt)
     return 0
 

@@ -49,9 +49,12 @@ class CheckReport:
         return head
 
 
+CHECKS: list = []  # every check, in declaration order: the report's order
+
+
 def _check(name: str, sizes, parts=lambda ns: (ns,)):
     """Declare body(part) -> violations as check(n_max) -> CheckReport, run
-    at sizes(n_max).
+    at sizes(n_max), and append it to CHECKS.
 
     The body runs once per element of parts(sizes), in order, and the report
     joins their violations; by default the one part is the sizes themselves,
@@ -75,6 +78,7 @@ def _check(name: str, sizes, parts=lambda ns: (ns,)):
             return CheckReport(name, violations, ns)
 
         check.parts = lambda n_max: tuple(parts(tuple(sizes(n_max))))
+        CHECKS.append(check)
         return check
 
     return declare
@@ -269,10 +273,13 @@ def check_rook_ladder(ns):
     for n in ns:
         for k in range(n // 2 + 1):
             exhaustive = rooks.column_weight_sum(0, k, n)
-            if exhaustive != rooks.t0_recurrence(k, n):
-                yield f"recurrence differs at (k,n)=({k},{n})"
-            if exhaustive != rooks.t0_closed(k, n):
-                yield f"closed form differs at (k,n)=({k},{n})"
+            for how, t0 in (
+                ("recurrence", rooks.t0_recurrence),
+                ("closed form", rooks.t0_closed),
+            ):
+                other = t0(k, n)
+                if exhaustive != other:
+                    yield f"{how} differs at (k,n)=({k},{n}): {_first_term(exhaustive, other)}"
             for j in range(k + 1):
                 if n - 2 * k + 2 * j < 0:
                     continue
@@ -289,8 +296,9 @@ def check_row_sum_formula(ns):
             total = ZERO
             for j in range(k + 1):
                 total = total + rooks.column_weight_sum(j, k, n)
-            if LaurentPoly.monomial(1, 0, k) * rooks.row_sum_formula(k, n) != total:
-                yield f"(k,n)=({k},{n})"
+            formula = LaurentPoly.monomial(1, 0, k) * rooks.row_sum_formula(k, n)
+            if formula != total:
+                yield f"(k,n)=({k},{n}): {_first_term(formula, total)}"
 
 
 @_check("involution bijection", _upto(6))
@@ -338,8 +346,9 @@ def check_williams_vs_theorem1(ns):
     for n in ns:
         p = closedforms.partition_polynomial(n)
         for m in range(1, n + 1):
-            if closedforms.y_coefficient_formula(m, n) != p.coeff_y(m):
-                yield f"(m,n)=({m},{n})"
+            formula, coeff = closedforms.y_coefficient_formula(m, n), p.coeff_y(m)
+            if formula != coeff:
+                yield f"(m,n)=({m},{n}): {_first_term(formula, coeff)}"
 
 
 @_check("matching closed form vs enumeration", _upto(6))
@@ -356,7 +365,7 @@ def check_low_order_coefficients(ns):
         lo = closedforms.low_order_coefficients(n)
         for m in range(4):
             if p.coeff(m, 0) != lo[m]:
-                yield f"n={n}, q^{m}"
+                yield f"n={n}, q^{m}: {p.coeff(m, 0)} != {lo[m]}"
 
 
 @_check("q^10 closed form", _fixed(*range(7, 13)))
@@ -381,9 +390,9 @@ def check_small_q_coefficients(ns):
         p = closedforms.partition_polynomial(n)
         for m in range(1, n + 1):
             if p.coeff(1, m) != closedforms.q1_y_coefficient(n, m):
-                yield f"q y^{m} at n={n}"
+                yield f"q y^{m} at n={n}: {p.coeff(1, m)} != {closedforms.q1_y_coefficient(n, m)}"
             if p.coeff(2, m) != closedforms.q2_y_coefficient(n, m):
-                yield f"q^2 y^{m} at n={n}"
+                yield f"q^2 y^{m} at n={n}: {p.coeff(2, m)} != {closedforms.q2_y_coefficient(n, m)}"
 
 
 @_check("positivity and factorial specialisation", _upto())
@@ -410,8 +419,9 @@ def check_truncation_stability(ns):
     for k in ns:
         base = ansatz.scalar_product(ansatz.yd_plus_e(k + 2), k)
         for dim in range(k + 3, k + 7):
-            if ansatz.scalar_product(ansatz.yd_plus_e(dim), k) != base:
-                yield f"dim={dim}"
+            wider = ansatz.scalar_product(ansatz.yd_plus_e(dim), k)
+            if wider != base:
+                yield f"dim={dim}: {_first_term(wider, base)}"
 
 
 @_check("vincular pattern count bounded by classical", _at(7))
@@ -490,43 +500,6 @@ def check_asymptotic_trend(ns):
             yield f"m={m}: ratios {ratios}"
         if m == 0 and abs(ratios[-1] - 1) > 0.10:
             yield f"m=0 ratio at n={ns[-1]} is {ratios[-1]}"
-
-
-CHECKS = (
-    check_matrix_vs_theorem1,
-    check_motzkin_vs_theorem1,
-    check_permutations_ascent_vs_theorem1,
-    check_permutations_crossing_vs_theorem1,
-    check_signed_paths_extraction,
-    check_decomposition_sum,
-    check_core_closed_form,
-    check_left_factor_counts,
-    check_decompose_roundtrip,
-    check_lgv_bijection,
-    check_functional_equation,
-    check_ansatz_relations,
-    check_hat_relations,
-    check_inversion_formulas,
-    check_inversion_printed_variant,
-    check_rook_sum_vs_matrix,
-    check_rook_ladder,
-    check_row_sum_formula,
-    check_phi_bijection,
-    check_boundary_reconciliation,
-    check_rook_route_vs_theorem1,
-    check_williams_vs_theorem1,
-    check_touchard_riordan,
-    check_low_order_coefficients,
-    check_q10,
-    check_narayana,
-    check_small_q_coefficients,
-    check_positivity_and_factorial,
-    check_truncation_stability,
-    check_pattern_bound,
-    check_pattern_tail_bound,
-    check_kernel_definitions,
-    check_asymptotic_trend,
-)
 
 
 def _run_part(task, n_max: int) -> CheckReport:

@@ -31,7 +31,7 @@ starred step; e.g. ``"U F1* D*"``.
 
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError
+from dataclasses import dataclass
 from functools import lru_cache
 
 from . import kernels
@@ -50,14 +50,12 @@ class IntersectingPair(ValueError):
     """Raised when a lattice-path pair shares a vertex."""
 
 
+@dataclass(frozen=True, init=False)
 class LabeledMotzkinPath:
-    """A closed labelled path: a tuple of (kind, starred) steps.
-
-    It behaves as a frozen dataclass with the one field ``steps``: immutable,
-    equal and hashed by its steps.
-    """
+    """A closed labelled path: a tuple of (kind, starred) steps."""
 
     __slots__ = ("steps",)
+    steps: tuple[tuple[str, bool], ...]
 
     def __init__(self, steps: tuple[tuple[str, bool], ...]):
         h = 0
@@ -69,25 +67,8 @@ class LabeledMotzkinPath:
             raise ValueError("path does not return to height 0")
         _set_steps(self, steps)
 
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
+    def __reduce__(self):  # pickle's default slot restore hits the frozen __setattr__
         return type(self), (self.steps,)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.steps == other.steps
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.steps,))
-
-    def __repr__(self):
-        return f"{type(self).__qualname__}(steps={self.steps!r})"
 
     def __len__(self):
         return len(self.steps)
@@ -368,15 +349,17 @@ def iter_left_factors(n: int):
 # -- lattice path pairs ---------------------------------------------------------
 
 
+@dataclass(frozen=True, init=False)
 class LatticePathPair:
     """Two monotone N/E paths with the same number of steps.
 
     ``lower`` starts at (1,0) and ``upper`` at (0,1); the pair is admissible
-    when the paths share no lattice point.  It behaves as a frozen dataclass
-    with the fields ``lower`` and ``upper``.
+    when the paths share no lattice point.
     """
 
     __slots__ = ("lower", "upper")
+    lower: tuple[str, ...]
+    upper: tuple[str, ...]
 
     def __init__(self, lower: tuple[str, ...], upper: tuple[str, ...]):
         if len(lower) != len(upper):
@@ -387,25 +370,8 @@ class LatticePathPair:
         _set_lower(self, lower)
         _set_upper(self, upper)
 
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
+    def __reduce__(self):  # as LabeledMotzkinPath.__reduce__
         return type(self), (self.lower, self.upper)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.lower, self.upper) == (other.lower, other.upper)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.lower, self.upper))
-
-    def __repr__(self):
-        return f"{type(self).__qualname__}(lower={self.lower!r}, upper={self.upper!r})"
 
     def is_nonintersecting(self) -> bool:
         """Both paths start on the line x + y = 1 and each step adds one to

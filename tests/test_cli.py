@@ -21,7 +21,7 @@ from pasep import (
     qcombinat,
     rooks,
 )
-from pasep.laurent import LaurentPoly
+from pasep.laurent import Q, Y, ZERO, LaurentPoly
 
 
 def run_cli(args):
@@ -216,7 +216,7 @@ def test_crosscheck_names_injected_failure(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert rc == 1
     assert "first failing identity: williams vs theorem1" in captured.err
-    assert "FAIL williams vs theorem1" in captured.out
+    assert "FAIL williams vs theorem1 (sizes 1..4) [(m,n)=(1,3): q^0 y^0: 3 vs 1; " in captured.out
 
 
 def test_crosscheck_reports_a_raising_route(capsys, monkeypatch):
@@ -250,46 +250,76 @@ def test_crosscheck_names_first_differing_term(monkeypatch):
     assert not rep.ok
     assert rep.violations == [f"n=5: q^3 y^2: {want + 1} vs {want}"]
 
+    # Checks that compare integers name both, and the others the first term.
+    low_order = closedforms.low_order_coefficients
+
+    def shifted(n):  # one too many at q^1 for n=5
+        lo = low_order(n)
+        return (lo[0], lo[1] + 1, *lo[2:]) if n == 5 else lo
+
+    monkeypatch.setattr(closedforms, "low_order_coefficients", shifted)
+    rep = crosscheck.check_low_order_coefficients(6)
+    assert rep.violations == ["n=5, q^1: 45 != 46"]  # binom(10, 2) = 45
+
+    q1_y = closedforms.q1_y_coefficient
+    monkeypatch.setattr(
+        closedforms, "q1_y_coefficient", lambda n, m: q1_y(n, m) + ((n, m) == (4, 2))
+    )
+    rep = crosscheck.check_small_q_coefficients(3)
+    assert rep.violations == ["q y^2 at n=4: 4 != 5"]
+
+    scalar_product = ansatz.scalar_product
+
+    def widened(m, k):  # an extra q^2 y at the widest truncation
+        return scalar_product(m, k) + (Q**2 * Y if m.dim == k + 6 else ZERO)
+
+    monkeypatch.setattr(ansatz, "scalar_product", widened)
+    rep = crosscheck.check_truncation_stability(6)
+    want = scalar_product(ansatz.yd_plus_e(7), 5).coeff(2, 1)
+    assert rep.sizes == (5,)
+    assert rep.violations == [f"dim=11: q^2 y^1: {want + 1} vs {want}"]
+
 
 def test_crosscheck_pretty_lists_sizes(capsys):
     assert run_cli(["crosscheck", "--n-max", "3"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    sizes = dict(re.fullmatch(r"PASS (.*) \(sizes (.*)\)", line).groups() for line in lines[:-1])
-    assert sizes == {
-        "matrix vs theorem1": "1..3",
-        "motzkin vs theorem1": "1..3",
-        "permutations-ascent vs theorem1": "1..3",
-        "permutations-crossing vs theorem1": "1..3",
-        "signed-paths extraction": "1..3",
-        "left-factor decomposition sum": "1..3",
-        "signed core sums vs closed form": "0..4",
-        "left-factor counts vs formula": "0..3",
-        "decomposition round-trip": "1..3",
-        "lgv bijection round-trip": "0..3",
-        "core functional equation": "0..3",
-        "ansatz relations": "5",
-        "hat relations": "5",
-        "inversion formulas": "1..3",
-        "printed second inversion fails at y=2": "1",
-        "rooks vs matrix": "1..3",
-        "rook summation ladder": "0..3",
-        "row-sum formula vs exhaustive": "1..3",
-        "involution bijection": "1..3",
-        "boundary-sum normalization is unique": "1..3",
-        "rooks vs theorem1": "1..3",
-        "williams vs theorem1": "1..3",
-        "matching closed form vs enumeration": "1..3",
-        "low-order q coefficients": "1..12",
-        "q^10 closed form": "7..12",
-        "narayana specialisation": "1..4",
-        "q y^m and q^2 y^m closed forms": "1..4",
-        "positivity and factorial specialisation": "1..3",
-        "truncation stability": "3",
-        "vincular pattern count bounded by classical": "3",
-        "classical tail bound": "1..3",
-        "kernels vs reference definitions": "3",
-        "asymptotic ratio trend": "20, 40, 60",
-    }
+    # Declaration order is report order: a moved declaration fails here.
+    sizes = [re.fullmatch(r"PASS (.*) \(sizes (.*)\)", line).groups() for line in lines[:-1]]
+    assert sizes == [
+        ("matrix vs theorem1", "1..3"),
+        ("motzkin vs theorem1", "1..3"),
+        ("permutations-ascent vs theorem1", "1..3"),
+        ("permutations-crossing vs theorem1", "1..3"),
+        ("signed-paths extraction", "1..3"),
+        ("left-factor decomposition sum", "1..3"),
+        ("signed core sums vs closed form", "0..4"),
+        ("left-factor counts vs formula", "0..3"),
+        ("decomposition round-trip", "1..3"),
+        ("lgv bijection round-trip", "0..3"),
+        ("core functional equation", "0..3"),
+        ("ansatz relations", "5"),
+        ("hat relations", "5"),
+        ("inversion formulas", "1..3"),
+        ("printed second inversion fails at y=2", "1"),
+        ("rooks vs matrix", "1..3"),
+        ("rook summation ladder", "0..3"),
+        ("row-sum formula vs exhaustive", "1..3"),
+        ("involution bijection", "1..3"),
+        ("boundary-sum normalization is unique", "1..3"),
+        ("rooks vs theorem1", "1..3"),
+        ("williams vs theorem1", "1..3"),
+        ("matching closed form vs enumeration", "1..3"),
+        ("low-order q coefficients", "1..12"),
+        ("q^10 closed form", "7..12"),
+        ("narayana specialisation", "1..4"),
+        ("q y^m and q^2 y^m closed forms", "1..4"),
+        ("positivity and factorial specialisation", "1..3"),
+        ("truncation stability", "3"),
+        ("vincular pattern count bounded by classical", "3"),
+        ("classical tail bound", "1..3"),
+        ("kernels vs reference definitions", "3"),
+        ("asymptotic ratio trend", "20, 40, 60"),
+    ]
     assert lines[-1] == "33/33 checks passed (n_max=3)"
 
 

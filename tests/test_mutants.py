@@ -266,3 +266,8 @@ def test_rook_weight_exponent(mutate, monkeypatch):
     }
     (raised,) = _raised(crosscheck.check_rook_route_vs_theorem1)
     assert raised.startswith("raised NotDivisible: no exact quotient")
+    # The exhaustive sums gain a q^-3 term that the closed forms lack.
+    ladder = crosscheck.check_rook_ladder(N_MAX).violations
+    assert ladder[0] == "closed form differs at (k,n)=(1,2): q^-3 y^1: 1 vs 0"
+    row_sum = crosscheck.check_row_sum_formula(N_MAX).violations
+    assert row_sum[0] == "(k,n)=(1,2): q^-3 y^1: 0 vs 1"

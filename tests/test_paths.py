@@ -234,7 +234,7 @@ def test_lgv_nonintersecting_is_no_shared_vertex():
 
 @dataclasses.dataclass(frozen=True)
 class _DataclassPair:
-    """LatticePathPair as the frozen dataclass it behaves as."""
+    """LatticePathPair as a plain frozen dataclass."""
 
     lower: tuple
     upper: tuple
@@ -247,26 +247,74 @@ class _DataclassPair:
                 raise ValueError(f"bad step {s!r}")
 
 
-def test_lattice_path_pair_behaves_as_frozen_dataclass():
-    fields = (("E", "N"), ("N", "E"))
-    pair, ref = paths.LatticePathPair(*fields), _DataclassPair(*fields)
-    assert (pair.lower, pair.upper) == fields
-    assert repr(pair) == repr(ref).replace("_DataclassPair", "LatticePathPair")
-    assert repr(pair) == "LatticePathPair(lower=('E', 'N'), upper=('N', 'E'))"
-    assert hash(pair) == hash(ref) == hash(fields)
-    assert pair == paths.LatticePathPair(*fields)
-    assert pair != paths.LatticePathPair(("E", "E"), ("N", "E"))
-    assert pair != fields and pair.__eq__(ref) is NotImplemented
-    assert len({pair, paths.LatticePathPair(*fields)}) == 1
-    for obj in (pair, ref):
-        for name in ("lower", "other"):
+@dataclasses.dataclass(frozen=True)
+class _DataclassPath:
+    """LabeledMotzkinPath as a plain frozen dataclass."""
+
+    steps: tuple
+
+    def __post_init__(self):
+        h = 0
+        for kind, _ in self.steps:
+            h += (kind == paths.NE) - (kind == paths.SE)
+            if h < 0:
+                raise ValueError("path dips below the axis")
+        if h:
+            raise ValueError("path does not return to height 0")
+
+
+@pytest.mark.parametrize(
+    "cls, ref, fields, other, text, rejected",
+    [
+        pytest.param(
+            paths.LatticePathPair,
+            _DataclassPair,
+            (("E", "N"), ("N", "E")),
+            (("E", "E"), ("N", "E")),
+            "LatticePathPair(lower=('E', 'N'), upper=('N', 'E'))",
+            [],  # see test_lattice_path_pair_rejects_what_the_dataclass_rejects
+            id="LatticePathPair",
+        ),
+        pytest.param(
+            paths.LabeledMotzkinPath,
+            _DataclassPath,
+            (((paths.NE, False), (paths.SE, True)),),
+            (((paths.E1, True),),),
+            "LabeledMotzkinPath(steps=(('NE', False), ('SE', True)))",
+            [
+                ((((paths.E2, True), (paths.SE, False), (paths.NE, False)),),
+                 "path dips below the axis"),
+                ((((paths.NE, False), (paths.E1, False)),),
+                 "path does not return to height 0"),
+            ],
+            id="LabeledMotzkinPath",
+        ),
+    ],
+)
+def test_path_value_class_behaves_as_frozen_dataclass(cls, ref, fields, other, text, rejected):
+    obj, ref_obj = cls(*fields), ref(*fields)
+    names = [f.name for f in dataclasses.fields(ref)]
+    assert tuple(getattr(obj, name) for name in names) == fields
+    assert repr(obj) == repr(ref_obj).replace(ref.__name__, cls.__name__) == text
+    assert hash(obj) == hash(ref_obj) == hash(fields)
+    assert obj == cls(*fields)
+    assert obj != cls(*other)
+    assert obj != fields and obj.__eq__(ref_obj) is NotImplemented
+    assert len({obj, cls(*fields)}) == 1
+    for instance in (obj, ref_obj):
+        for name in (names[0], "other"):
             with pytest.raises(dataclasses.FrozenInstanceError):
-                setattr(obj, name, ())
+                setattr(instance, name, ())
             with pytest.raises(dataclasses.FrozenInstanceError):
-                delattr(obj, name)
-    assert (pair.lower, pair.upper) == fields
-    for clone in (copy.copy(pair), copy.deepcopy(pair), pickle.loads(pickle.dumps(pair))):
-        assert type(clone) is paths.LatticePathPair and clone == pair
+                delattr(instance, name)
+    assert tuple(getattr(obj, name) for name in names) == fields
+    for clone in (copy.copy(obj), copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))):
+        assert type(clone) is cls and clone == obj
+    for args, message in rejected:
+        for c in (cls, ref):
+            with pytest.raises(ValueError) as err:
+                c(*args)
+            assert str(err.value) == message
 
 
 @pytest.mark.parametrize(
