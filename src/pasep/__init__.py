@@ -8,14 +8,13 @@ brute-force permutation statistics provide the combinatorial oracle.  The
 """
 
 from .kernels import BACKEND
-from .laurent import ExponentBounds, LaurentPoly, NotDivisible, PoleAtZero
+from .laurent import LaurentPoly, NotDivisible, PoleAtZero
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BACKEND",
     "LaurentPoly",
-    "ExponentBounds",
     "NotDivisible",
     "PoleAtZero",
     "__version__",

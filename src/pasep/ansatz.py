@@ -53,7 +53,7 @@ class OperatorMatrix:
         )
 
     def __sub__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        return self + other.scale(LaurentPoly.from_int(-1))
+        return self + other.scale(-1)
 
     def scale(self, c: LaurentPoly | int) -> "OperatorMatrix":
         return OperatorMatrix([[e * c for e in row] for row in self.rows])
@@ -249,7 +249,7 @@ def verify_inversion(
     """
     dim = n + 4
     yv: LaurentPoly = Y if y is None else (
-        LaurentPoly.from_int(y) if isinstance(y, int) else y
+        LaurentPoly.monomial(y) if isinstance(y, int) else y
     )
     m = yd_plus_e(dim, yv)
     mh = yhat_plus_ehat(dim, yv)

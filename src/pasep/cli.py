@@ -14,12 +14,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import time
 from fractions import Fraction
 
 from . import kernels
-from .laurent import ONE_MINUS_Q, Y, LaurentPoly
+from .laurent import ONE, Q, Y, ZERO, LaurentPoly
 
 # Per-method size caps: exhaustive methods refuse rather than hang.
 METHOD_CAPS = {
@@ -54,7 +55,7 @@ def _method_motzkin(n: int) -> LaurentPoly:
 def _method_signed_paths(n: int) -> LaurentPoly:
     from . import paths
 
-    return paths.labelled_path_sum(n).exact_div(ONE_MINUS_Q**n)
+    return paths.labelled_path_sum(n).exact_div((ONE - Q) ** n)
 
 
 def _method_rooks(n: int) -> LaurentPoly:
@@ -72,7 +73,7 @@ def _method_theorem1(n: int) -> LaurentPoly:
 def _method_williams(n: int) -> LaurentPoly:
     from . import closedforms
 
-    total = LaurentPoly.from_int(0)
+    total = ZERO
     for m in range(1, n + 1):
         total = total + LaurentPoly.monomial(1, 0, m) * closedforms.y_coefficient_formula(m, n)
     return total
@@ -104,33 +105,22 @@ def _parse_value(text: str) -> Fraction:
 
 
 def _parse_range(text: str) -> tuple[int, int]:
-    try:
-        if ".." in text:
-            lo, hi = text.split("..", 1)
-            lo, hi = int(lo), int(hi)
-        else:
-            lo = hi = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"malformed range {text!r}") from None
-    if lo < 1 or hi < lo:
-        raise argparse.ArgumentTypeError(f"malformed range {text!r}")
-    return lo, hi
+    match = re.fullmatch(r"([0-9]+)(?:\.\.([0-9]+))?", text)
+    return _span(match, 1, f"malformed range {text!r}")
 
 
 def _parse_coeff(text: str) -> tuple[int, int]:
-    body = text
-    try:
-        if ".." in body:
-            a, b = body.split("..", 1)
-            lo = int(a.lstrip("q"))
-            hi = int(b.lstrip("q"))
-        else:
-            lo = hi = int(body.lstrip("q"))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad coefficient selector {text!r}") from None
-    if lo < 0 or hi < lo:
-        raise argparse.ArgumentTypeError(f"bad coefficient selector {text!r}")
-    return lo, hi
+    match = re.fullmatch(r"q?([0-9]+)(?:\.\.q?([0-9]+))?", text)
+    return _span(match, 0, f"bad coefficient selector {text!r}")
+
+
+def _span(match, least: int, error: str) -> tuple[int, int]:
+    """(lo, hi) from a match of "lo" or "lo..hi", when least <= lo <= hi."""
+    if match:
+        lo, hi = int(match[1]), int(match[2] or match[1])
+        if least <= lo <= hi:
+            return lo, hi
+    raise argparse.ArgumentTypeError(error)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -104,7 +104,7 @@ def y_coefficient_formula(m: int, n: int) -> LaurentPoly:
         # power is multiplied once.
         factor = (
             LaurentPoly.monomial(binomial(n, i), m - i, 0)
-            + LaurentPoly.from_int(binomial(n, i - 1))
+            + LaurentPoly.monomial(binomial(n, i - 1))
         ) * LaurentPoly.monomial((-1) ** i, m * i - m * m, 0)
         total = total + _q_int_power(m - i, n) * factor
     return total

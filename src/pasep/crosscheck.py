@@ -465,6 +465,10 @@ def check_kernel_definitions(ns):
     bulk = permstats.classical_hist(n)
     if {c: v for c, v in enumerate(bulk) if v} != hist_cl:
         yield "classical-pattern histogram differs from definitions"
+    tail = permstats.classical_tail(n, 3)
+    want = tuple(hist_cl.get(c, 0) for c in range(4))
+    if tail != want:
+        yield f"classical tail {tail} differs from definitions {want}"
     hist: dict = {}
     for pairs in permstats.iter_matchings(n):
         c = permstats.matching_crossings(pairs)

@@ -10,8 +10,9 @@ them freely and are immutable after construction.
 
 Ring operations combine rows by C-level slice arithmetic (``map``,
 ``accumulate``) instead of per-term updates.  A term map ``{(e_q, e_y): c}``
-is built only at the boundary: ``terms``, serialisation, substitution for y and
-general long division.  The canonical term order used everywhere
+is built only at the boundary: ``terms``, serialisation and substitution for y.
+The one divisor the formulas need is +-q^a y^b (1-q)^k, and ``exact_div``
+divides by that alone.  The canonical term order used everywhere
 (serialisation, pretty printing) is lexicographic on ``(e_q, e_y)``,
 ascending.
 
@@ -23,10 +24,8 @@ to ``int``.
 
 from __future__ import annotations
 
-import heapq
 import json
 from collections import defaultdict
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, chain, islice, repeat
 from math import comb
@@ -39,16 +38,6 @@ class NotDivisible(ArithmeticError):
 
 class PoleAtZero(ZeroDivisionError):
     """Raised when substituting 0 into a variable with negative exponents."""
-
-
-@dataclass(frozen=True)
-class ExponentBounds:
-    """Min/max exponents of a nonzero polynomial, per variable."""
-
-    q_min: int
-    q_max: int
-    y_min: int
-    y_max: int
 
 
 class LaurentPoly:
@@ -87,10 +76,6 @@ class LaurentPoly:
         return cls._raw(out)
 
     @classmethod
-    def from_int(cls, c: int) -> "LaurentPoly":
-        return cls._raw({0: (0, [c])} if c else {})
-
-    @classmethod
     def monomial(cls, c: int, e_q: int = 0, e_y: int = 0) -> "LaurentPoly":
         return cls._raw({e_y: (e_q, [c])} if c else {})
 
@@ -125,17 +110,6 @@ class LaurentPoly:
     def y_support(self):
         return sorted(self._rows)
 
-    def bounds(self) -> ExponentBounds | None:
-        if not self._rows:
-            return None
-        rows = self._rows.values()
-        return ExponentBounds(
-            min(lo for lo, _ in rows),
-            max(lo + len(row) - 1 for lo, row in rows),
-            min(self._rows),
-            max(self._rows),
-        )
-
     # -- ring operations --------------------------------------------------
 
     @staticmethod
@@ -143,7 +117,7 @@ class LaurentPoly:
         if isinstance(other, LaurentPoly):
             return other
         if isinstance(other, int):
-            return LaurentPoly.from_int(other)
+            return LaurentPoly.monomial(other)
         return None
 
     def __add__(self, other):
@@ -232,36 +206,31 @@ class LaurentPoly:
     # -- division ----------------------------------------------------------
 
     def exact_div(self, other: "LaurentPoly") -> "LaurentPoly":
-        """Exact quotient self / other in the integer Laurent ring.
-
-        Raises NotDivisible when no exact quotient with integer coefficients
-        exists; raises ZeroDivisionError for a zero divisor.
-        """
-        other = LaurentPoly._coerce(other)
-        if other is None or other.is_zero:
-            raise ZeroDivisionError("division by zero polynomial")
-        if self.is_zero:
-            return ZERO
-        # Is other +-q^a y^b (1-q)^k, i.e. one y-row carrying the signed
-        # binomial coefficients?
-        if len(other._rows) == 1:
-            (ey, (lo, row)), = other._rows.items()
-            k = len(row) - 1
-            sign = row[0]
-            if sign in (1, -1) and all(
-                c == sign * (-1) ** i * comb(k, i) for i, c in enumerate(row)
-            ):
-                return self._div_one_minus_q_power(k, sign, lo, ey)
-        return self._heap_div(other)
-
-    def _div_one_minus_q_power(self, k: int, sign: int, q_shift: int, y_shift: int):
-        """self / (sign * q^q_shift * y^y_shift * (1-q)^k), for sign = +-1.
+        """Exact quotient self / (sign q^a y^b (1-q)^k), for sign = +-1.
 
         Dividing a q-row by (1 - q) takes its prefix sums; the division is
         exact exactly when the last prefix sum (the row sum) is zero.  The
         quotient's rows stay trimmed: their first entry is the dividend's and
         their last is +-the dividend's last.
+
+        Raises ZeroDivisionError for a zero divisor, ValueError for a divisor
+        of any other form, and NotDivisible when no exact quotient with
+        integer coefficients exists.
         """
+        other = LaurentPoly._coerce(other)
+        if other is not None and other.is_zero:
+            raise ZeroDivisionError("division by zero polynomial")
+        # Is other +-q^a y^b (1-q)^k, i.e. one y-row carrying the signed
+        # binomial coefficients?
+        if other is None or len(other._rows) != 1:
+            raise ValueError(_DIVISOR_FORM)
+        (y_shift, (q_shift, divisor)), = other._rows.items()
+        k = len(divisor) - 1
+        sign = divisor[0]
+        if sign not in (1, -1) or any(
+            c != sign * (-1) ** i * comb(k, i) for i, c in enumerate(divisor)
+        ):
+            raise ValueError(_DIVISOR_FORM)
         out = {}
         for ey, (lo, row) in self._rows.items():
             for _ in range(k):
@@ -272,44 +241,6 @@ class LaurentPoly:
                     )
             out[ey - y_shift] = (lo - q_shift, row if sign == 1 else list(map(neg, row)))
         return LaurentPoly._raw(out)
-
-    def _heap_div(self, other: "LaurentPoly") -> "LaurentPoly":
-        """Exact quotient by general long division on a max-heap of terms."""
-        ab, bb = self.bounds(), other.bounds()
-        # Shift both operands to plain polynomials; undo the shift at the end.
-        shift = (ab.q_min - bb.q_min, ab.y_min - bb.y_min)
-        rem = {(eq - ab.q_min, ey - ab.y_min): c for eq, ey, c in self.terms()}
-        div = {(eq - bb.q_min, ey - bb.y_min): c for eq, ey, c in other.terms()}
-        lead = max(div)
-        lead_c = div[lead]
-        quot: dict = {}
-        heap = [(-k[0], -k[1]) for k in rem]
-        heapq.heapify(heap)
-        while heap:
-            nk = heapq.heappop(heap)
-            k = (-nk[0], -nk[1])
-            c = rem.get(k)
-            if not c:
-                continue
-            te = (k[0] - lead[0], k[1] - lead[1])
-            if te[0] < 0 or te[1] < 0 or c % lead_c:
-                raise NotDivisible(f"no exact quotient (stuck at term {k})")
-            qc = c // lead_c
-            quot[te] = quot.get(te, 0) + qc
-            for e, bc in div.items():
-                kk = (te[0] + e[0], te[1] + e[1])
-                v = rem.get(kk, 0) - qc * bc
-                if v:
-                    if kk not in rem:
-                        heapq.heappush(heap, (-kk[0], -kk[1]))
-                    rem[kk] = v
-                else:
-                    rem.pop(kk, None)
-        if rem:
-            raise NotDivisible("nonzero remainder")
-        return LaurentPoly(
-            {(eq + shift[0], ey + shift[1]): c for (eq, ey), c in quot.items()}
-        )
 
     # -- substitution -------------------------------------------------------
 
@@ -322,12 +253,12 @@ class LaurentPoly:
         return self._eval(1, value)
 
     def _eval(self, axis: int, value):
-        if value == 0:
-            terms = {(eq, ey): c for eq, ey, c in self.terms()}
-            if any(k[axis] < 0 for k in terms):
-                raise PoleAtZero("substituting 0 into a negative power")
-            return LaurentPoly({k: c for k, c in terms.items() if k[axis] == 0})
         v = Fraction(value)
+        # Rows are trimmed, so the least exponent on the axis has a term.
+        if not v and self._rows and min(
+            (lo for lo, _ in self._rows.values()) if axis == 0 else self._rows
+        ) < 0:
+            raise PoleAtZero("substituting 0 into a negative power")
         acc: dict = {}
         if axis == 0:
             # Each row in one integer Horner pass: with v = num/den, the row
@@ -351,38 +282,18 @@ class LaurentPoly:
 
     def to_int(self) -> int:
         """The value of a constant polynomial (zero or a single (0,0) term)."""
-        if self.is_zero:
+        rows = self._rows
+        if not rows:
             return 0
-        if self.bounds() == ExponentBounds(0, 0, 0, 0):
-            return self._rows[0][1][0]
+        if rows.keys() == {0} and rows[0][0] == 0 and len(rows[0][1]) == 1:
+            return rows[0][1][0]
         raise ValueError("polynomial is not constant")
 
     # -- serialisation ------------------------------------------------------
 
-    def to_json_obj(self) -> dict:
-        return {
-            "terms": [
-                {"q": eq, "y": ey, "c": str(c)} for eq, ey, c in self.terms()
-            ]
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), separators=(",", ":"))
-
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "LaurentPoly":
-        terms = {}
-        for t in obj["terms"]:
-            c = t["c"]
-            if isinstance(c, str):
-                c = Fraction(c)
-                c = int(c) if c.denominator == 1 else c
-            terms[(int(t["q"]), int(t["y"]))] = c
-        return cls(terms)
-
-    @classmethod
-    def from_json(cls, s: str) -> "LaurentPoly":
-        return cls.from_json_obj(json.loads(s))
+        terms = [{"q": eq, "y": ey, "c": str(c)} for eq, ey, c in self.terms()]
+        return json.dumps({"terms": terms}, separators=(",", ":"))
 
     # -- display ------------------------------------------------------------
 
@@ -516,20 +427,19 @@ def _row_product(a: dict, b: dict) -> dict:
     return rows
 
 
+_DIVISOR_FORM = "exact_div divides only by +-q^a y^b (1-q)^k"
+
 ZERO = LaurentPoly._raw({})
-ONE = LaurentPoly.from_int(1)
+ONE = LaurentPoly.monomial(1)
 Q = LaurentPoly.monomial(1, 1, 0)
 Y = LaurentPoly.monomial(1, 0, 1)
-ONE_MINUS_Q = ONE - Q
 
 __all__ = [
     "LaurentPoly",
-    "ExponentBounds",
     "NotDivisible",
     "PoleAtZero",
     "ZERO",
     "ONE",
     "Q",
     "Y",
-    "ONE_MINUS_Q",
 ]

@@ -132,18 +132,6 @@ class RookPlacement:
         r, s, t = self.statistics()
         return P_WEIGHT**r * LaurentPoly.monomial(1, s, t)
 
-    def to_json_obj(self) -> dict:
-        return {
-            "word": self.shape.serialize(),
-            "rooks": sorted([v, h] for v, h in self.rooks),
-        }
-
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "RookPlacement":
-        return cls(
-            YoungBoundary.parse(obj["word"]),
-            frozenset((v, h) for v, h in obj["rooks"]),
-        )
 
 
 def iter_placements(shape: YoungBoundary):

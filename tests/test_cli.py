@@ -140,9 +140,20 @@ def test_usage_errors_exit_2():
     with pytest.raises(SystemExit) as exc:
         run_cli(["table", "8..2"])
     assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        run_cli(["table", "1..4", "--coeff", "zz"])
-    assert exc.value.code == 2
+    for args in (
+        ["table", "2_0"],
+        ["table", "+2"],
+        ["table", "1 .. 3"],
+        ["table", "0..2"],
+        ["table", "1..4", "--coeff", "zz"],
+        ["table", "1..4", "--coeff", "qq3"],
+        ["table", "1..4", "--coeff", "q-0"],
+        ["table", "1..4", "--coeff", "q3..qq5"],
+        ["table", "1..4", "--coeff", "q3..q2"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(args)
+        assert exc.value.code == 2, args
 
 
 def test_crosscheck_cap(capsys):
@@ -362,6 +373,10 @@ def test_every_public_operation_reachable_from_cli(capsys, monkeypatch, fresh_ca
     required = {}
     for mod in modules:
         required.update(_public_functions(mod))
+    for name, attr in vars(LaurentPoly).items():
+        if not name.startswith("_"):
+            fn = attr.fget if isinstance(attr, property) else getattr(attr, "__func__", attr)
+            required[("pasep.laurent.LaurentPoly", name)] = fn
 
     hit = set()
     code_index = {}
@@ -371,7 +386,6 @@ def test_every_public_operation_reachable_from_cli(capsys, monkeypatch, fresh_ca
         else:
             code_index[obj.__code__] = key
 
-    # kernel entry points may be compiled; wrap them to record the call
     for name in kernels.__all__:
         fn = getattr(kernels, name)
         if not callable(fn):
@@ -396,6 +410,7 @@ def test_every_public_operation_reachable_from_cli(capsys, monkeypatch, fresh_ca
         assert run_cli(["crosscheck", "--n-max", "2", "--format", "csv"]) == 0
         for method in sorted(cli.METHODS):
             assert run_cli(["eval", "--method", method, "-n", "3", "--format", "json"]) == 0
+        assert run_cli(["eval", "--method", "theorem1", "-n", "3", "--format", "pretty"]) == 0
         assert run_cli(["table", "1..3", "--coeff", "q0..q1"]) == 0
     finally:
         sys.setprofile(None)

@@ -1,5 +1,6 @@
 """Ring axioms, division, substitution and serialisation of LaurentPoly."""
 
+import json
 from fractions import Fraction
 from math import comb
 
@@ -69,7 +70,8 @@ def test_mul_examples():
 
 
 def test_exact_div_examples():
-    assert (ONE - Q**2).exact_div(ONE + Q) == ONE - Q
+    with pytest.raises(ValueError, match=r"\(1-q\)\^k"):
+        (ONE - Q**2).exact_div(ONE + Q)
     num = Y * (ONE + Y) * (ONE - Q) ** 2
     den = Y * (ONE - Q) ** 2
     assert num.exact_div(den) == ONE + Y
@@ -135,20 +137,13 @@ def test_eval_y_pole():
         LaurentPoly.monomial(1, 0, -1).eval_y(0)
 
 
-def test_bounds():
-    assert ZERO.bounds() is None
-    b = (LaurentPoly.monomial(1, -2, 1) + Q**3).bounds()
-    assert (b.q_min, b.q_max, b.y_min, b.y_max) == (-2, 3, 0, 1)
-
-
 def test_canonical_order_and_json():
     p = Y**2 * Q - Y + LaurentPoly.monomial(4, -1, 0)
-    obj = p.to_json_obj()
+    obj = json.loads(p.to_json())
     keys = [(t["q"], t["y"]) for t in obj["terms"]]
     assert keys == sorted(keys)
     assert all(isinstance(t["c"], str) for t in obj["terms"])
-    assert LaurentPoly.from_json(p.to_json()) == p
-    assert LaurentPoly.from_json(ZERO.to_json()) == ZERO
+    assert ZERO.to_json() == '{"terms":[]}'
 
 
 def test_pretty():
@@ -194,9 +189,9 @@ def test_from_rows_of_padded_rows(p, before, after):
     rows = {}
     for ey in p.y_support():
         row = p.coeff_y(ey)
-        b = row.bounds()
-        dense = [row.coeff(eq, 0) for eq in range(b.q_min, b.q_max + 1)]
-        rows[ey] = (b.q_min - before, [0] * before + dense + [0] * after)
+        qs = [eq for eq, _, _ in row.terms()]
+        dense = [row.coeff(eq, 0) for eq in range(qs[0], qs[-1] + 1)]
+        rows[ey] = (qs[0] - before, [0] * before + dense + [0] * after)
     rows[9] = (0, [0] * after)  # a zero row, dropped
     got = LaurentPoly.from_rows(rows)
     assert got == p
@@ -232,7 +227,6 @@ def test_exact_div_by_one_minus_q_power():
                         LaurentPoly.monomial(-1, -2, 5) * d):
             num = a * divisor
             assert num.exact_div(divisor) == a
-            assert num.exact_div(divisor) == num._heap_div(divisor)
         assert ZERO.exact_div(d) == ZERO
 
 
@@ -249,8 +243,6 @@ def test_exact_div_by_one_minus_q_power_not_divisible():
     for d in (one_minus_q_power(3), -one_minus_q_power(3)):
         with pytest.raises(NotDivisible):
             num.exact_div(d)
-        with pytest.raises(NotDivisible):
-            num._heap_div(d)
 
 
 @settings(max_examples=150, deadline=None)
@@ -262,15 +254,24 @@ def test_ring_axioms(a, b, c):
     assert (a * b) * c == a * (b * c)
 
 
+# The divisors exact_div takes: sign q^a y^b (1-q)^k.
+divisors = st.builds(
+    lambda sign, a, b, k: LaurentPoly.monomial(sign, a, b) * one_minus_q_power(k),
+    st.sampled_from((1, -1)),
+    exponents,
+    exponents,
+    st.integers(0, 6),
+)
+
+
 @settings(max_examples=150, deadline=None)
-@given(any_polys, any_polys)
+@given(any_polys, divisors)
 def test_division_inverts_multiplication(a, b):
-    if b.is_zero:
-        return
     assert (a * b).exact_div(b) == a
 
 
 @settings(max_examples=80, deadline=None)
 @given(polys)
 def test_json_roundtrip(p):
-    assert LaurentPoly.from_json(p.to_json()) == p
+    terms = [(t["q"], t["y"], int(t["c"])) for t in json.loads(p.to_json())["terms"]]
+    assert terms == list(p.terms())

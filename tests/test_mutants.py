@@ -112,14 +112,13 @@ def test_starred_up_step_shifted_by_h(mutate):
 
 def test_classical_tail_off_by_one(mutate):
     # Each value placed counts one occurrence too many.  The tail bound is an
-    # inequality, and fewer permutations survive the pruning, so the battery
-    # passes; the tail against the joint histogram catches it, as in
-    # tests/test_kernels.py::test_classical_tail_matches_joint_histogram.
+    # inequality that an undercount still meets; the tail against the
+    # per-permutation histogram catches it.
     mutate(permstats, "_tail_search", "extra = below = 0", "extra, below = 1, 0")
-    assert _failing() == set()
-    n = N_MAX
-    full = [sum(col) for col in zip(*kernels.vincular_classical_joint(n))]
-    assert permstats.classical_tail(n, 3) != tuple(full[:4])
+    assert _failing() == {"check_kernel_definitions"}
+    assert crosscheck.check_kernel_definitions(N_MAX).violations == [
+        "classical tail (0, 0, 0, 0) differs from definitions (42, 21, 23, 14)"
+    ]
 
 
 def test_lattice_pairs_one_apart_count_as_meeting(mutate):

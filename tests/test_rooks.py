@@ -179,14 +179,6 @@ def test_square_crosses_are_mahonian():
         assert hist == want
 
 
-def test_placement_serialisation():
-    shape = rooks.YoungBoundary.parse("HV")
-    pl = rooks.RookPlacement(shape, frozenset({(2, 1)}))
-    obj = pl.to_json_obj()
-    assert obj == {"word": "HV", "rooks": [[2, 1]]}
-    assert rooks.RookPlacement.from_json_obj(obj) == pl
-
-
 def test_partition_polynomial_via_rooks():
     from pasep import closedforms
 
