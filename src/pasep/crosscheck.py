@@ -197,20 +197,41 @@ def check_left_factor_counts(ns):
     parts=lambda ns: [(n, step) for n in ns for step in paths.first_steps()],
 )
 def check_decompose_roundtrip(part):
-    """One part: the paths of length n that begin with the step first."""
+    """One part: the paths of length n that begin with the step first.
+
+    The walk folds decompose and the weight once per prefix.  Each path is
+    recomposed and compared with itself, and its weight with its core's
+    times y^j.  Each distinct core is validated and weighed once, and must
+    be in the core set and be its own core, under a left factor of NEs.
+    """
     n, first = part
-    decompose, recompose, SE, E1 = paths.decompose, paths.recompose, paths.SE, paths.E1
-    for p in paths.iter_labelled_paths(n, prefix=(first,)):
-        left, core = decompose(p)
-        if not core.in_core_set():
-            yield f"core not in core set for {p.serialize()}"
+    decompose, recompose = paths.decompose, paths.recompose
+    NE, SE, E1 = paths.NE, paths.SE, paths.E1
+    cores = {}  # core steps -> (core path, what is wrong with it, its weight)
+    for steps, left, core_steps, weight in paths.iter_decomposed_paths(n, (first,)):
+        known = cores.get(core_steps)
+        if known is None:
+            core = paths.LabeledMotzkinPath(core_steps)
+            if not core.in_core_set():
+                fault = "core not in core set"
+            elif decompose(core) != ((NE,) * len(core), core):
+                fault = "core is not its own core"
+            else:
+                fault = ""
+            known = cores[core_steps] = (core, fault, core.signed_exponents())
+        core, fault, (sign, e_q, e_y) = known
+        if fault:
+            yield f"{fault} for {_serialize(steps)}"
             continue
-        if recompose(left, core) != p:
-            yield f"round trip failed for {p.serialize()}"
+        if recompose(left, core).steps != steps:
+            yield f"round trip failed for {_serialize(steps)}"
         j = left.count(SE) + left.count(E1)
-        sign, e_q, e_y = core.signed_exponents()
-        if (sign, e_q, e_y + j) != p.signed_exponents():
-            yield f"weight split failed for {p.serialize()}"
+        if (sign, e_q, e_y + j) != weight:
+            yield f"weight split failed for {_serialize(steps)}"
+
+
+def _serialize(steps) -> str:
+    return paths.LabeledMotzkinPath(steps).serialize()
 
 
 @_check("lgv bijection round-trip", _upto(7, start=0))

@@ -22,8 +22,11 @@ factor, recorded over the same four step kinds) and a core path, and
 ``recompose`` inverts it.  The core is the starred steps plus the plain NE
 and SE steps left unmatched when plain NE/SE are matched like brackets
 within their run of plain steps; the left factor is the path with each core
-step replaced by NE.  Left factors are also counted two independent
-ways: by a height transfer and through non-intersecting lattice-path pairs.
+step replaced by NE.  decompose and the labelled weight are each one
+per-step rule, folded over a path; ``iter_decomposed_paths`` carries both
+down the enumeration's prefix tree, so each prefix is folded once.  Left
+factors are also counted two independent ways: by a height transfer and
+through non-intersecting lattice-path pairs.
 
 Step serialisation: U (NE), D (SE), F1, F2, with a trailing ``*`` marking a
 starred step; e.g. ``"U F1* D*"``.
@@ -32,7 +35,7 @@ starred step; e.g. ``"U F1* D*"``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 from . import kernels
 from .laurent import ONE, Q, Y, ZERO, LaurentPoly
@@ -79,18 +82,7 @@ class LabeledMotzkinPath:
 
     def signed_exponents(self) -> tuple[int, int, int]:
         """The weight as its (sign, e_q, e_y) triple."""
-        ey = eq = h = 0
-        sign = 1
-        for kind, starred in self.steps:
-            up = kind == NE or kind == E1  # weighs y, and q^(h+1) if starred
-            if starred:
-                sign = -sign
-                eq += h + up
-            ey += up
-            if kind == NE:
-                h += 1
-            elif kind == SE:
-                h -= 1
+        sign, eq, ey, _ = reduce(_weight_step, self.steps, _WEIGHT_START)
         return sign, eq, ey
 
     def in_core_set(self) -> bool:
@@ -121,6 +113,57 @@ class LabeledMotzkinPath:
 
 _set_steps = LabeledMotzkinPath.steps.__set__  # bypasses the frozen __setattr__
 
+# -- the per-step rules ------------------------------------------------------
+# Each takes a state and one (kind, starred) step and returns the next state.
+# signed_exponents and decompose fold them over a path's steps, and the path
+# enumeration carries both down its prefix tree, folding each prefix once.
+# Every user looks a rule up by name when it runs, so a replaced rule reaches
+# them all.
+
+_WEIGHT_START = (1, 0, 0, 0)
+
+
+def _weight_step(state, step):
+    """The labelled weight's rule, on (sign, e_q, e_y, height)."""
+    sign, eq, ey, h = state
+    kind, starred = step
+    up = kind == NE or kind == E1  # weighs y, and q^(h+1) if starred
+    if starred:
+        sign = -sign
+        eq += h + up
+    return sign, eq, ey + up, h + _RISE[kind]
+
+
+_DECOMPOSE_START = ((), (), 0)
+
+
+def _decompose_step(state, step):
+    """decompose's rule, on (left factor, core steps, open NEs): the open NEs
+    are the plain NEs of the current run of plain steps not yet matched."""
+    left, core, open_ne = state
+    kind, starred = step
+    if starred:
+        # The run ends: its open NEs, then this step, join the core.  An
+        # earlier core step is starred or an SE met with no open NE, so
+        # the core stays in path order.
+        if open_ne:
+            core += (_PLAIN_NE,) * open_ne
+            open_ne = 0
+        core += (step,)
+        kind = NE
+    elif kind == NE:
+        open_ne += 1
+    elif kind == SE:
+        if open_ne:
+            open_ne -= 1
+        else:  # unmatched in its run: a core step
+            core += (step,)
+            kind = NE
+    return left + (kind,), core, open_ne
+
+
+# -- enumeration ---------------------------------------------------------------
+
 # (restricted, can descend, last step a plain NE) -> the (step, rise) choices
 # for the next step, kinds in the order NE, SE, E1, E2, plain before starred.
 _NEXT_STEPS = {
@@ -139,13 +182,15 @@ _NEXT_STEPS = {
 
 
 def _extend(prefixes, top: int, restricted: bool):
-    """Each (steps, height) prefix extended by one step, in order, keeping
-    the prefixes that end at height top or below."""
-    for steps, h in prefixes:
+    """Each (steps, height, decompose state, weight state) prefix extended by
+    one step, in order, keeping the prefixes that end at height top or below."""
+    decompose_step, weight_step = _decompose_step, _weight_step
+    for steps, h, split, weight in prefixes:
         after_plain_ne = restricted and steps[-1:] == (_PLAIN_NE,)
         for step, rise in _NEXT_STEPS[restricted, h > 0, after_plain_ne]:
             if h + rise <= top:
-                yield steps + (step,), h + rise
+                yield (steps + (step,), h + rise,
+                       decompose_step(split, step), weight_step(weight, step))
 
 
 def _starting(prefixes, step):
@@ -155,24 +200,46 @@ def _starting(prefixes, step):
             yield item
 
 
+def _walk(n: int, restricted: bool, prefix):
+    """The closed paths of length n that begin with prefix, as _extend's
+    items, in lexicographic order of their steps.
+
+    Each level extends the prefixes of the one before by one step, lazily,
+    so one prefix per level is held at once.
+    """
+    if len(prefix) > n:
+        return iter(())
+    level = iter([((), 0, _DECOMPOSE_START, _WEIGHT_START)])
+    for pos in range(n):
+        level = _extend(level, n - pos - 1, restricted)
+        if pos < len(prefix):
+            level = _starting(level, prefix[pos])
+    return level
+
+
 def iter_labelled_paths(n: int, restricted: bool = False, prefix=()):
     """Yield every labelled closed path of length n (core subset if restricted)
     that begins with the steps of prefix.
 
     Paths come in lexicographic order of their steps, kinds ordered NE, SE,
-    E1, E2 and plain before starred.  Each level extends the prefixes of the
-    one before by one step, lazily, so one prefix per level is held at once.
-    A prefix that no such path begins with yields nothing.
+    E1, E2 and plain before starred.  A prefix that no such path begins with
+    yields nothing.
     """
-    if len(prefix) > n:
-        return
-    level = iter([((), 0)])
-    for pos in range(n):
-        level = _extend(level, n - pos - 1, restricted)
-        if pos < len(prefix):
-            level = _starting(level, prefix[pos])
-    for steps, _ in level:
+    for steps, _, _, _ in _walk(n, restricted, prefix):
         yield LabeledMotzkinPath(steps)
+
+
+def iter_decomposed_paths(n: int, prefix=()):
+    """Yield (steps, left, core steps, (sign, e_q, e_y)) for every labelled
+    closed path of length n that begins with prefix, in the order of
+    iter_labelled_paths.
+
+    (left, core steps) is what decompose returns for the path and the triple
+    is its signed_exponents(); both are folded once per prefix, not once per
+    path.
+    """
+    for steps, _, (left, core, _), (sign, eq, ey, _) in _walk(n, False, prefix):
+        yield steps, left, core, (sign, eq, ey)
 
 
 def first_steps(restricted: bool = False) -> tuple:
@@ -251,32 +318,10 @@ def decompose(
     them by NE in p gives the left factor.  This is the same as greedily
     peeling maximal plain sub-paths that close at their own starting height.
     """
-    left: list[str] = []
-    core: list[tuple[str, bool]] = []
-    open_ne = 0  # plain NEs of the current run not yet matched
-    for step in p.steps:
-        kind, starred = step
-        if starred:
-            # The run ends: its open NEs, then this step, join the core.  An
-            # earlier core step is starred or an SE met with no open NE, so
-            # the core stays in path order.
-            if open_ne:
-                core += [_PLAIN_NE] * open_ne
-                open_ne = 0
-            core.append(step)
-            kind = NE
-        elif kind == NE:
-            open_ne += 1
-        elif kind == SE:
-            if open_ne:
-                open_ne -= 1
-            else:  # unmatched in its run: a core step
-                core.append(step)
-                kind = NE
-        left.append(kind)
-    # open_ne is 0 here: the last plain run of a closed path ends at
+    left, core, _ = reduce(_decompose_step, p.steps, _DECOMPOSE_START)
+    # No NE is left open: the last plain run of a closed path ends at
     # height 0, so each of its NEs is matched.
-    return tuple(left), LabeledMotzkinPath(tuple(core))
+    return left, LabeledMotzkinPath(core)
 
 
 def recompose(
@@ -465,6 +510,10 @@ def _core_zsum(n: int) -> dict:
     return kernels._core_path_counts(n, True)
 
 
+# Largest t_order check_functional_equation takes.
+FUNCTIONAL_EQUATION_CAP = 8
+
+
 def check_functional_equation(t_order: int) -> list[str]:
     """Verify, coefficientwise in t up to t_order, that the z-marked core
     series S(z) = sum_n t^n sum_{core paths} w(p) satisfies
@@ -473,8 +522,8 @@ def check_functional_equation(t_order: int) -> list[str]:
 
     and that (-1)^k [t^k] S(1) equals the closed form for k <= t_order.
     """
-    if not 0 <= t_order <= 8:
-        raise ValueError("t_order must be in 0..8")
+    if not 0 <= t_order <= FUNCTIONAL_EQUATION_CAP:
+        raise ValueError(f"t_order must be in 0..{FUNCTIONAL_EQUATION_CAP}")
     s = [_core_zsum(n) for n in range(t_order + 1)]
     violations = []
 
@@ -513,6 +562,7 @@ __all__ = [
     "LatticePathPair",
     "IntersectingPair",
     "iter_labelled_paths",
+    "iter_decomposed_paths",
     "first_steps",
     "motzkin_polynomial",
     "motzkin_polynomials_upto",

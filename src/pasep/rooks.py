@@ -36,6 +36,9 @@ from .kernels import ROOK_CAP
 from .laurent import ONE, Q, Y, ZERO, LaurentPoly
 from .qcombinat import binomial, q_binomial, q_int
 
+# Largest n_max reconcile_boundary_identity takes.
+RECONCILE_CAP = 9
+
 # p = (1-q)/q^2 = q^-2 - q^-1
 P_WEIGHT = LaurentPoly.monomial(1, -2, 0) - LaurentPoly.monomial(1, -1, 0)
 
@@ -311,8 +314,8 @@ class ReconcileReport:
 
 def reconcile_boundary_identity(n_max: int) -> ReconcileReport:
     """Test each candidate normalization against the matrix scalar products."""
-    if not 1 <= n_max <= 9:
-        raise ValueError("n_max must be in 1..9")
+    if not 1 <= n_max <= RECONCILE_CAP:
+        raise ValueError(f"n_max must be in 1..{RECONCILE_CAP}")
     scalars = ansatz.scalar_products_upto(
         ansatz.yhat_plus_ehat(n_max + 2), n_max
     )

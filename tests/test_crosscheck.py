@@ -140,26 +140,27 @@ def test_cli_import_loads_no_pool_modules():
 
 
 def test_round_trip_visits_every_labelled_path(monkeypatch):
-    """decompose and recompose run once per labelled path of each length
-    n <= 5: 2^n C(n+1) paths, 4 + 20 + 112 + 672 + 4224 in all."""
-    calls = {"decompose": 0, "recompose": 0}
+    """The walk yields, and recompose runs on, each labelled path of each
+    length n <= 5 once: 2^n C(n+1) paths, 4 + 20 + 112 + 672 + 4224 in all."""
+    calls = {"iter_decomposed_paths": 0, "recompose": 0}
+    walk, recompose = paths.iter_decomposed_paths, paths.recompose
 
-    def counted(name):
-        fn = getattr(paths, name)
+    def counted_walk(*args):
+        for item in walk(*args):
+            calls["iter_decomposed_paths"] += 1
+            yield item
 
-        def wrapper(*args):
-            calls[name] += 1
-            return fn(*args)
+    def counted_recompose(*args):
+        calls["recompose"] += 1
+        return recompose(*args)
 
-        return wrapper
-
-    for name in calls:
-        monkeypatch.setattr(paths, name, counted(name))
+    monkeypatch.setattr(paths, "iter_decomposed_paths", counted_walk)
+    monkeypatch.setattr(paths, "recompose", counted_recompose)
     report = crosscheck.check_decompose_roundtrip(5)
     assert report.ok and report.sizes == (1, 2, 3, 4, 5)
     total = sum(2**n * catalan(n + 1) for n in report.sizes)
     assert total == 5032
-    assert calls == {"decompose": total, "recompose": total}
+    assert calls == {"iter_decomposed_paths": total, "recompose": total}
 
 
 def test_positivity_reports_a_zero_polynomial(monkeypatch):

@@ -76,8 +76,9 @@ def test_one_sided_crossing_count(mutate):
 
 def test_decompose_keeps_open_nes_plain(mutate):
     # An open plain NE stays in the left factor when a starred step ends its
-    # run, so the core loses it and can dip below the axis.
-    mutate(paths, "decompose", "core += [_PLAIN_NE] * open_ne", "pass")
+    # run, so the core loses it and can dip below the axis.  The defect is in
+    # decompose's step rule, which the round trip's walk folds.
+    mutate(paths, "_decompose_step", "core += (_PLAIN_NE,) * open_ne", "pass")
     assert _failing() == {"check_decompose_roundtrip"}
     raised = set(_raised(crosscheck.check_decompose_roundtrip))
     assert raised == {"raised ValueError: path dips below the axis"}
@@ -100,13 +101,9 @@ def test_recompose_fills_slots_in_reverse(mutate):
 def test_starred_up_step_shifted_by_h(mutate):
     # A starred NE or E1 at height h weighs q^h instead of q^(h+1).  Every
     # starred step is a core step, so a path and its core lose the same
-    # power of q and the round trip's weight split still holds.
-    mutate(
-        paths.LabeledMotzkinPath,
-        "signed_exponents",
-        "eq += h + up",
-        "eq += h",
-    )
+    # power of q and the round trip's weight split still holds.  The defect
+    # is in the weight's step rule, which the walk and signed_exponents fold.
+    mutate(paths, "_weight_step", "eq += h + up", "eq += h")
     assert _failing() == {"check_kernel_definitions"}
 
 

@@ -185,6 +185,24 @@ def test_paths_by_first_step_make_every_path(restricted):
         assert by_first == whole
 
 
+def test_walk_yields_each_path_with_its_decomposition_and_weight():
+    """The walk folds both step rules once per prefix; each path it yields
+    carries what decompose and signed_exponents give for that path alone."""
+    for n in range(7):
+        for prefix in [()] + [(step,) for step in paths.first_steps()]:
+            walked = list(paths.iter_decomposed_paths(n, prefix))
+            want = list(paths.iter_labelled_paths(n, prefix=prefix))
+            assert [steps for steps, _, _, _ in walked] == [p.steps for p in want]
+            for (_, left, core, weight), p in zip(walked, want):
+                split = paths.decompose(p)
+                assert (left, core) == (split[0], split[1].steps), p.serialize()
+                assert weight == p.signed_exponents(), p.serialize()
+    ne, se, e2 = (paths.NE, False), (paths.SE, False), (paths.E2, False)
+    for n, prefix in ((1, (ne,)), (3, (ne, ne)), (3, (se,)), (1, (e2, e2)),
+                      (3, (ne, ne, se))):
+        assert list(paths.iter_decomposed_paths(n, prefix)) == [], (n, prefix)
+
+
 def test_prefix_no_path_begins_with_yields_nothing():
     ne, se, e2 = (paths.NE, False), (paths.SE, False), (paths.E2, False)
     assert list(paths.iter_labelled_paths(1, prefix=(ne,))) == []  # cannot close
@@ -355,6 +373,12 @@ def test_lgv_bijection_exhaustive():
 
 def test_functional_equation():
     assert paths.check_functional_equation(6) == []
+
+
+def test_functional_equation_refuses_past_its_cap():
+    cap = paths.FUNCTIONAL_EQUATION_CAP
+    with pytest.raises(ValueError, match=f"t_order must be in 0..{cap}"):
+        paths.check_functional_equation(cap + 1)
 
 
 def test_functional_equation_t1_series():

@@ -131,6 +131,11 @@ def test_reconcile_boundary_identity():
     assert set(rep.failures) == {"1", "q^n", "(1-q)", "q^n(1-q)^n"}
 
 
+def test_reconcile_boundary_identity_refuses_past_its_cap():
+    with pytest.raises(ValueError, match=f"n_max must be in 1..{rooks.RECONCILE_CAP}"):
+        rooks.reconcile_boundary_identity(rooks.RECONCILE_CAP + 1)
+
+
 def test_phi_no_rooks():
     shape = rooks.YoungBoundary.parse("HV")
     inv, lam = rooks.phi(rooks.RookPlacement(shape, frozenset()))
