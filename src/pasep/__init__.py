@@ -1,10 +1,13 @@
-"""Exact computation of the PASEP partition polynomial, five independent ways.
+"""Exact computation of the PASEP partition polynomial by five independent
+families of methods (operator matrices, lattice paths, rook placements,
+closed forms and permutation statistics).
 
-The same bivariate polynomial is produced by operator-matrix truncations,
-weighted Motzkin path transfer, signed labelled-path extraction, rook
-placements fed through an inversion formula, and an alternating closed form;
-brute-force permutation statistics provide the combinatorial oracle.  The
-``crosscheck`` CLI verb asserts the full matrix of pairwise identities.
+The same bivariate polynomial is produced by operator-matrix truncations;
+by the weighted Motzkin path transfer and signed labelled-path extraction;
+by rook placements fed through an inversion formula; by an alternating
+closed form and a coefficient formula; and by brute-force permutation
+statistics, the combinatorial oracle.  The ``crosscheck`` CLI verb asserts
+the full matrix of pairwise identities.
 """
 
 from .kernels import BACKEND

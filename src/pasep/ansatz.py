@@ -39,9 +39,6 @@ class OperatorMatrix:
         self.dim = n
         self.rows = rows
 
-    def __eq__(self, other):
-        return isinstance(other, OperatorMatrix) and self.rows == other.rows
-
     def __add__(self, other: "OperatorMatrix") -> "OperatorMatrix":
         if self.dim != other.dim:
             raise ValueError("dimension mismatch")

@@ -126,7 +126,9 @@ def _span(match, least: int, error: str) -> tuple[int, int]:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pasep",
-        description="Exact partition-polynomial computations, five ways.",
+        description="Exact partition-polynomial computations by five independent "
+        "families of methods (operator matrices, lattice paths, rook placements, "
+        "closed forms and permutation statistics).",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -16,7 +16,7 @@ import os
 import sys
 import traceback
 from dataclasses import dataclass
-from itertools import product, repeat
+from itertools import accumulate, product, repeat
 
 from .laurent import ONE, Q, Y, ZERO, LaurentPoly
 from . import ansatz, closedforms, kernels, paths, permstats, rooks
@@ -457,12 +457,10 @@ def check_pattern_tail_bound(ns):
     """#{<=k classical 1-3-2} is bounded by the partial sums of the q-distribution."""
     for n in ns:
         p = closedforms.partition_polynomial_y1(n)
-        # k = 3 first: its one pruned search also answers k < 3.
-        psi = {k: permstats.psi(k, n) for k in (3, 2, 1, 0)}
-        for k in range(4):
+        for k, at_most in enumerate(accumulate(permstats.classical_tail(n, 3))):
             rhs = sum(p.coeff(m, 0) for m in range(k + 1))
-            if psi[k] > rhs:
-                yield f"(n,k)=({n},{k}): {psi[k]} > {rhs}"
+            if at_most > rhs:
+                yield f"(n,k)=({n},{k}): {at_most} > {rhs}"
 
 
 @_check("kernels vs reference definitions", _at(5))

@@ -132,8 +132,6 @@ class LaurentPoly:
             _add_row(out, ey, lo, row)
         return LaurentPoly._raw(out)
 
-    __radd__ = __add__
-
     def __neg__(self):
         return LaurentPoly._raw(
             {ey: (lo, list(map(neg, row))) for ey, (lo, row) in self._rows.items()}
@@ -144,9 +142,6 @@ class LaurentPoly:
         if other is None:
             return NotImplemented
         return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -197,11 +192,6 @@ class LaurentPoly:
         if other is None:
             return NotImplemented
         return self._rows == other._rows
-
-    def __hash__(self):
-        return hash(
-            frozenset((ey, lo, tuple(row)) for ey, (lo, row) in self._rows.items())
-        )
 
     # -- division ----------------------------------------------------------
 
@@ -322,8 +312,6 @@ class LaurentPoly:
 
     def __repr__(self):
         return f"LaurentPoly({self.pretty()})"
-
-    __str__ = pretty
 
 
 def _power_str(var: str, e: int) -> str:

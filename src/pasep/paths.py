@@ -46,7 +46,6 @@ _RISE = {NE: 1, SE: -1, E1: 0, E2: 0}
 _PLAIN_NE = (NE, False)
 _PLAIN = {kind: (kind, False) for kind in _RISE}
 _TOKEN = {NE: "U", SE: "D", E1: "F1", E2: "F2"}
-_KIND = {v: k for k, v in _TOKEN.items()}
 
 
 class IntersectingPair(ValueError):
@@ -69,9 +68,6 @@ class LabeledMotzkinPath:
         if h:
             raise ValueError("path does not return to height 0")
         _set_steps(self, steps)
-
-    def __reduce__(self):  # pickle's default slot restore hits the frozen __setattr__
-        return type(self), (self.steps,)
 
     def __len__(self):
         return len(self.steps)
@@ -101,14 +97,6 @@ class LabeledMotzkinPath:
         return " ".join(
             _TOKEN[k] + ("*" if s else "") for k, s in self.steps
         )
-
-    @classmethod
-    def parse(cls, text: str) -> "LabeledMotzkinPath":
-        steps = []
-        for tok in text.split():
-            starred = tok.endswith("*")
-            steps.append((_KIND[tok.rstrip("*")], starred))
-        return cls(tuple(steps))
 
 
 _set_steps = LabeledMotzkinPath.steps.__set__  # bypasses the frozen __setattr__
@@ -414,9 +402,6 @@ class LatticePathPair:
                 raise ValueError(f"bad step {s!r}")
         _set_lower(self, lower)
         _set_upper(self, upper)
-
-    def __reduce__(self):  # as LabeledMotzkinPath.__reduce__
-        return type(self), (self.lower, self.upper)
 
     def is_nonintersecting(self) -> bool:
         """Both paths start on the line x + y = 1 and each step adds one to

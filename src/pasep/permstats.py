@@ -121,53 +121,43 @@ def classical_hist(n: int) -> tuple[int, ...]:
     return tuple(hist)
 
 
-# n -> the widest tail searched so far; a search to k counts every c <= k.
-_TAILS: dict[int, tuple[int, ...]] = {}
-
-
+@lru_cache(maxsize=None)
 def classical_tail(n: int, k: int) -> tuple[int, ...]:
     """hist[c] for c <= k: #permutations of n with c classical 1-3-2 occurrences.
 
-    Permutations are built by prefix.  Occurrences only accrue as a prefix
-    grows, so a prefix is dropped once its count exceeds k.  A search to k
-    counts every smaller bound too, so the widest search made for n answers
-    every k up to its own.
+    Permutations are built left to right by a DP over (used values, pending
+    occurrences of each unused value, count).  An unused value c is pending
+    one occurrence per placed pair a before b with a < c < b, and placing c
+    adds those to the count.  Every pending occurrence is counted once its
+    value is placed, so a state whose count plus pending exceeds k is dropped.
     """
     if not 1 <= n <= kernels.PERMUTATION_CAP:
         raise ValueError(f"n must be in 1..{kernels.PERMUTATION_CAP}")
-    hist = _TAILS.get(n, ())
-    if len(hist) <= k:
-        hist = _TAILS[n] = _tail_search(n, k)
-    return hist[: k + 1]
-
-
-def _tail_search(n: int, k: int) -> tuple[int, ...]:
+    # Values run 0..n-1 here; pending[c] is 0 once c is used.
+    states = {(0, (0,) * n, 0): 1}
+    for _ in range(n):
+        grown: dict = {}
+        for (used, pending, count), ways in states.items():
+            for v in range(n):
+                if used >> v & 1:
+                    continue
+                total = count + pending[v]
+                new = list(pending)
+                new[v] = 0
+                below = 0  # placed values below c
+                for c in range(v):
+                    if used >> c & 1:
+                        below += 1
+                    else:  # each placed a < c now precedes v > c
+                        new[c] += below
+                if total + sum(new) <= k:
+                    key = (used | 1 << v, tuple(new), total)
+                    grown[key] = grown.get(key, 0) + ways
+        states = grown
     hist = [0] * (k + 1)
-
-    def rec(prefix: list[int], unused: list[int], count: int):
-        if not unused:
-            hist[count] += 1
-            return
-        for idx, c in enumerate(unused):
-            # occurrences with c as the final "2": i < j, w_i < c < w_j
-            extra = below = 0
-            for v in prefix:
-                if v < c:
-                    below += 1
-                else:
-                    extra += below
-            if count + extra <= k:
-                prefix.append(c)
-                rec(prefix, unused[:idx] + unused[idx + 1 :], count + extra)
-                prefix.pop()
-
-    rec([], list(range(1, n + 1)), 0)
+    for (_, _, count), ways in states.items():
+        hist[count] += ways
     return tuple(hist)
-
-
-def psi(k: int, n: int) -> int:
-    """#permutations of n with at most k classical 1-3-2 occurrences."""
-    return sum(classical_tail(n, k))
 
 
 def vincular_bounded_by_classical(n: int) -> bool:
@@ -226,7 +216,6 @@ __all__ = [
     "gen_polynomial",
     "classical_hist",
     "classical_tail",
-    "psi",
     "vincular_bounded_by_classical",
     "matching_crossing_polynomial",
     "iter_matchings",

@@ -53,13 +53,6 @@ class YoungBoundary:
         if any(c not in ("V", "H") for c in self.word):
             raise ValueError("word letters must be 'V' or 'H'")
 
-    @classmethod
-    def parse(cls, text: str) -> "YoungBoundary":
-        return cls(tuple(text))
-
-    def serialize(self) -> str:
-        return "".join(self.word)
-
     @property
     def n(self) -> int:
         return len(self.word)
@@ -71,13 +64,10 @@ class YoungBoundary:
     def rows(self) -> list[int]:
         return [i + 1 for i, c in enumerate(self.word) if c == "V"]
 
-    def cells(self) -> list[tuple[int, int]]:
-        """All cells as (row position, column position) pairs, h < v."""
-        return list(self._cells)
-
     @cached_property
     def _cells(self) -> tuple[tuple[int, int], ...]:
-        """The cells, built once per shape: every placement on it reads them."""
+        """All cells as (row position, column position) pairs, h < v; built
+        once per shape, since every placement on it reads them."""
         cols = self.columns()
         return tuple((v, h) for v in self.rows() for h in cols if h < v)
 
@@ -130,11 +120,6 @@ class RookPlacement:
     def statistics(self) -> tuple[int, int, int]:
         """(rooks, crosses, columns)."""
         return len(self.rooks), len(self.cross_cells()), len(self.shape.columns())
-
-    def weight(self) -> LaurentPoly:
-        r, s, t = self.statistics()
-        return P_WEIGHT**r * LaurentPoly.monomial(1, s, t)
-
 
 
 def iter_placements(shape: YoungBoundary):

@@ -4,15 +4,13 @@ import sys
 
 import pytest
 
-from pasep import permstats
-
 
 @pytest.fixture
 def fresh_caches():
     """Every memoised result in the package dropped before and after the
-    test: each lru_cache of every loaded pasep module, and permstats._TAILS.
-    A result cached by an earlier test cannot hide what this one patches in,
-    nor one computed here outlive it."""
+    test: each lru_cache of every loaded pasep module.  A result cached by
+    an earlier test cannot hide what this one patches in, nor one computed
+    here outlive it."""
 
     def clear():
         for name, mod in list(sys.modules.items()):
@@ -20,7 +18,6 @@ def fresh_caches():
                 for obj in vars(mod).values():
                     if hasattr(obj, "cache_clear"):
                         obj.cache_clear()
-        permstats._TAILS.clear()
 
     clear()
     yield

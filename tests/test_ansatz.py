@@ -21,7 +21,7 @@ def test_build_hat():
     he = ansatz.build_hat(ansatz.build_E(2))
     assert he.rows[1][0] == Q - LaurentPoly.monomial(1, -1, 0)
     ident = ansatz.identity(3)
-    assert ansatz.build_hat(ident) == ident
+    assert ansatz.build_hat(ident).rows == ident.rows
 
 
 def test_scalar_product_examples():
@@ -59,11 +59,9 @@ def test_scalar_product_truncation_guard():
 
 def test_truncation_stability():
     for k in range(5):
-        values = {
-            ansatz.scalar_product(ansatz.yd_plus_e(dim), k)
-            for dim in range(k + 2, k + 7)
-        }
-        assert len(values) == 1
+        base = ansatz.scalar_product(ansatz.yd_plus_e(k + 2), k)
+        for dim in range(k + 3, k + 7):
+            assert ansatz.scalar_product(ansatz.yd_plus_e(dim), k) == base, (k, dim)
 
 
 def test_verify_ansatz():

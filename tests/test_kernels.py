@@ -68,29 +68,13 @@ def test_crossing_table_at_cap_has_eulerian_marginals():
 
 
 @pytest.mark.parametrize("n", range(1, 9))
-def test_classical_tail_matches_joint_histogram(n, monkeypatch):
-    monkeypatch.setattr(permstats, "_TAILS", {})  # search at each k afresh
-    full = [0] * (n * (n - 1) * (n - 2) // 6 + 4)
+def test_classical_tail_matches_joint_histogram(n):
+    full = [0] * (n * (n - 1) * (n - 2) // 6 + 7)
     for row in kernels.vincular_classical_joint(n):
         for c, v in enumerate(row):
             full[c] += v
-    for k in range(4):
+    for k in range(7):
         assert permstats.classical_tail(n, k) == tuple(full[: k + 1]), (n, k)
-        assert permstats.psi(k, n) == sum(full[: k + 1])
-
-
-def test_classical_tail_reuses_the_widest_search(monkeypatch):
-    monkeypatch.setattr(permstats, "_TAILS", {})
-    wide = permstats.classical_tail(7, 3)
-
-    def refuse(n, k):
-        raise AssertionError("searched again")
-
-    monkeypatch.setattr(permstats, "_tail_search", refuse)
-    assert [permstats.classical_tail(7, k) for k in range(4)] == [
-        wide[: k + 1] for k in range(4)
-    ]
-    assert permstats.psi(1, 7) == sum(wide[:2])
 
 
 def test_table_totals_are_factorials():
@@ -118,7 +102,6 @@ def test_permutation_cap(capsys):
         lambda: kernels.vincular_classical_joint(n + 1),
         lambda: permstats.classical_hist(n + 1),
         lambda: permstats.classical_tail(n + 1, 0),
-        lambda: permstats.psi(0, n + 1),
         lambda: permstats.vincular_bounded_by_classical(n + 1),
     ):
         with pytest.raises(ValueError):

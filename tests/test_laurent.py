@@ -169,7 +169,6 @@ def test_cancellation_leaves_canonical_rows():
         ((ONE - Q) * (ONE + Q) * Y + Y, (2 * ONE - Q**2) * Y),
     ):
         assert got == want
-        assert hash(got) == hash(want)
         assert len(got) == len(want)
     assert len(ONE - Q**2) == 2
 
@@ -195,7 +194,6 @@ def test_from_rows_of_padded_rows(p, before, after):
     rows[9] = (0, [0] * after)  # a zero row, dropped
     got = LaurentPoly.from_rows(rows)
     assert got == p
-    assert hash(got) == hash(p)
 
 
 def test_pow_matches_repeated_multiplication():

@@ -108,10 +108,12 @@ def test_starred_up_step_shifted_by_h(mutate):
 
 
 def test_classical_tail_off_by_one(mutate):
-    # Each value placed counts one occurrence too many.  The tail bound is an
-    # inequality that an undercount still meets; the tail against the
-    # per-permutation histogram catches it.
-    mutate(permstats, "_tail_search", "extra = below = 0", "extra, below = 1, 0")
+    # Each value placed counts one occurrence too many, so at n = 5 every
+    # permutation exceeds k = 3.  The tail bound is an inequality that an
+    # undercount still meets; the tail against the per-permutation
+    # histogram catches it.
+    mutate(permstats, "classical_tail", "total = count + pending[v]",
+           "total = count + pending[v] + 1")
     assert _failing() == {"check_kernel_definitions"}
     assert crosscheck.check_kernel_definitions(N_MAX).violations == [
         "classical tail (0, 0, 0, 0) differs from definitions (42, 21, 23, 14)"
@@ -267,3 +269,71 @@ def test_rook_weight_exponent(mutate, monkeypatch):
     assert ladder[0] == "closed form differs at (k,n)=(1,2): q^-3 y^1: 1 vs 0"
     row_sum = crosscheck.check_row_sum_formula(N_MAX).violations
     assert row_sum[0] == "(k,n)=(1,2): q^-3 y^1: 0 vs 1"
+
+
+def test_matching_closed_form_exponent(mutate):
+    # Each term with k > 2 weighs one more power of q.  Only the matching
+    # check reads the Touchard-Riordan form.
+    mutate(
+        closedforms,
+        "matching_closed_form",
+        "mono = LaurentPoly.monomial(c, k * (k + 1) // 2, 0)",
+        "mono = LaurentPoly.monomial(c, k * (k + 1) // 2 + (k > 2), 0)",
+    )
+    assert _failing() == {"check_touchard_riordan"}
+
+
+def test_low_order_q1_above_ten(mutate):
+    # The q^1 closed form gains one past n = 10, which only the low-order
+    # check reaches: its sizes run to 12 whatever n_max is.
+    mutate(
+        closedforms,
+        "low_order_coefficients",
+        "c1 = binomial(2 * n, n - 3)",
+        "c1 = binomial(2 * n, n - 3) + (n > 10)",
+    )
+    assert _failing() == {"check_low_order_coefficients"}
+
+
+def test_q10_zero_one_size_too_far(mutate):
+    # The q^10 closed form reads 0 at n = 8, where the coefficient is 74.
+    mutate(closedforms, "q10_coefficient", "if n < 8:", "if n < 9:")
+    assert _failing() == {"check_q10"}
+    assert crosscheck.check_q10(N_MAX).violations == ["n=8: 74 != 0"]
+
+
+def test_phi_drops_adjacent_arcs(mutate):
+    # A rook on a cell with v - h = 1 makes no arc, so phi_inverse cannot
+    # rebuild the placement.
+    mutate(
+        rooks,
+        "phi",
+        "arcs = frozenset((h, v) for v, h in pl.rooks)",
+        "arcs = frozenset((h, v) for v, h in pl.rooks if v - h != 1)",
+    )
+    assert _failing() == {"check_phi_bijection"}
+
+
+def test_left_factor_formula_one_extra(mutate):
+    # The closed form counts one extra left factor at (n, k) = (4, 1), for
+    # every j; the transfer counts are read by the other path checks.
+    mutate(
+        paths,
+        "left_factor_formula",
+        "return binomial(n, j) * binomial(n, j + k) - binomial(n, j - 1) * binomial(",
+        "return ((n, k) == (4, 1)) + binomial(n, j) * binomial(n, j + k)"
+        " - binomial(n, j - 1) * binomial(",
+    )
+    assert _failing() == {"check_left_factor_counts"}
+
+
+def test_asymptotic_ratio_exponent(mutate):
+    # The estimate's power of n is off by 0.1, so the ratios no longer
+    # approach 1 from below.
+    mutate(
+        closedforms,
+        "asymptotic_ratio",
+        "return float(Fraction(coeff * factorial(m), 4**n)) * sqrt(pi) * n ** (1.5 - m)",
+        "return float(Fraction(coeff * factorial(m), 4**n)) * sqrt(pi) * n ** (1.4 - m)",
+    )
+    assert _failing() == {"check_asymptotic_trend"}

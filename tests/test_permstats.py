@@ -57,7 +57,7 @@ def test_gen_polynomial_degrees():
 def test_classical_counts():
     assert permstats.classical_132_count((1, 3, 2)) == 1
     for n in range(1, 9):
-        assert permstats.psi(0, n) == catalan(n)
+        assert permstats.classical_tail(n, 0) == (catalan(n),)
     assert permstats.vincular_bounded_by_classical(7)
 
 
