@@ -10,6 +10,11 @@ with boundary vectors <W| = (1, 0, 0, ...) and |V> = (1, 0, 0, ...)^T.  The
 hat variants D^ = (q-1)/q D + 1/q and E^ = (q-1)/q E + 1/q obey the pure
 q-commutation D^E^ - q E^D^ = (1-q)/q^2.
 
+A matrix is a tuple of sparse rows: row i is a dict {column: entry} that
+holds only the nonzero entries.  A row vector is one such dict.  The one
+product, ``_times``, multiplies a row vector by a matrix; scalar products,
+powers, linear combinations and the relation checks all go through it.
+
 A truncation of size N reproduces the infinite scalar product <W| M^k |V>
 exactly whenever N >= k + 2, because a length-k walk from index 0 back to 0
 never leaves the first k/2 + 1 coordinates.  Relation checks exclude the
@@ -26,83 +31,27 @@ class TruncationTooSmall(ValueError):
     """Raised when a matrix truncation cannot support the requested power."""
 
 
-class OperatorMatrix:
-    """A square matrix of LaurentPoly entries; immutable after construction."""
-
-    __slots__ = ("dim", "rows")
-
-    def __init__(self, rows):
-        rows = tuple(tuple(r) for r in rows)
-        n = len(rows)
-        if any(len(r) != n for r in rows):
-            raise ValueError("matrix must be square")
-        self.dim = n
-        self.rows = rows
-
-    def __add__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        if self.dim != other.dim:
-            raise ValueError("dimension mismatch")
-        return OperatorMatrix(
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.rows, other.rows)
-            ]
-        )
-
-    def __sub__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        return self + other.scale(-1)
-
-    def scale(self, c: LaurentPoly | int) -> "OperatorMatrix":
-        return OperatorMatrix([[e * c for e in row] for row in self.rows])
-
-    def __mul__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        if self.dim != other.dim:
-            raise ValueError("dimension mismatch")
-        n = self.dim
-        cols = list(zip(*other.rows))
-        out = []
-        for i in range(n):
-            row = self.rows[i]
-            out.append(
-                [
-                    sum(
-                        (row[t] * cols[j][t] for t in range(n) if not row[t].is_zero),
-                        ZERO,
-                    )
-                    for j in range(n)
-                ]
-            )
-        return OperatorMatrix(out)
+def _times(vec: dict, m) -> dict:
+    """The row vector vec times the matrix m: the sum of vec[i] * (row i of m)."""
+    out = {}
+    for i, x in vec.items():
+        for j, e in m[i].items():
+            out[j] = out[j] + x * e if j in out else x * e
+    return {j: e for j, e in out.items() if not e.is_zero}
 
 
-def identity(n: int) -> OperatorMatrix:
-    return OperatorMatrix(
-        [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
-    )
-
-
-def build_D(n: int) -> OperatorMatrix:
+def build_D(n: int) -> tuple:
     """D truncation: row i holds [i+1]_q at columns i and i+1."""
     if n < 1:
         raise ValueError("n >= 1 required")
-    return OperatorMatrix(
-        [
-            [q_int(i + 1) if j in (i, i + 1) else ZERO for j in range(n)]
-            for i in range(n)
-        ]
-    )
+    return tuple({j: q_int(i + 1) for j in (i, i + 1) if j < n} for i in range(n))
 
 
-def build_E(n: int) -> OperatorMatrix:
+def build_E(n: int) -> tuple:
     """E truncation: row i holds [i+1]_q at columns i-1 and i."""
     if n < 1:
         raise ValueError("n >= 1 required")
-    return OperatorMatrix(
-        [
-            [q_int(i + 1) if j in (i - 1, i) else ZERO for j in range(n)]
-            for i in range(n)
-        ]
-    )
+    return tuple({j: q_int(i + 1) for j in (i - 1, i) if j >= 0} for i in range(n))
 
 
 # (q-1)/q as a Laurent polynomial.
@@ -110,123 +59,104 @@ _HAT_SCALE = ONE - LaurentPoly.monomial(1, -1, 0)
 _Q_INV = LaurentPoly.monomial(1, -1, 0)
 
 
-def build_hat(m: OperatorMatrix) -> OperatorMatrix:
-    """The hat transform (q-1)/q * M + (1/q) * I, entrywise in the Laurent ring."""
-    n = m.dim
-    return OperatorMatrix(
-        [
-            [
-                m.rows[i][j] * _HAT_SCALE + (_Q_INV if i == j else ZERO)
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
+def build_hat(m: tuple) -> tuple:
+    """The hat transform (q-1)/q * M + (1/q) * I: row i is the row vector
+    ((q-1)/q, 1/q) times the two rows (row i of M, row i of I)."""
+    return tuple(
+        _times({0: _HAT_SCALE, 1: _Q_INV}, (row, {i: ONE}))
+        for i, row in enumerate(m)
     )
 
 
-def yd_plus_e(n: int, y: LaurentPoly = Y) -> OperatorMatrix:
+def _plus(y: LaurentPoly, d: tuple, e: tuple) -> tuple:
+    """y*d + e: row i is the row vector (y, 1) times (row i of d, row i of e)."""
+    return tuple(_times({0: y, 1: ONE}, rows) for rows in zip(d, e))
+
+
+def yd_plus_e(n: int, y: LaurentPoly = Y) -> tuple:
     """y*D + E at truncation size n."""
-    return build_D(n).scale(y) + build_E(n)
+    return _plus(y, build_D(n), build_E(n))
 
 
-def yhat_plus_ehat(n: int, y: LaurentPoly = Y) -> OperatorMatrix:
+def yhat_plus_ehat(n: int, y: LaurentPoly = Y) -> tuple:
     """y*D^ + E^ at truncation size n."""
-    return build_hat(build_D(n)).scale(y) + build_hat(build_E(n))
+    return _plus(y, build_hat(build_D(n)), build_hat(build_E(n)))
 
 
-def boundary_vectors(n: int) -> tuple[tuple[LaurentPoly, ...], tuple[LaurentPoly, ...]]:
-    """The row vector <W| and column vector |V>: a single 1 at index 0."""
-    w = tuple([ONE] + [ZERO] * (n - 1))
-    return w, w
+def boundary_vectors(n: int) -> tuple[dict, tuple]:
+    """The row vector <W| and the column vector |V>, each a single 1 at
+    index 0; |V> is the n x 1 matrix of n sparse rows, so that <u|V> is the
+    row vector u times it."""
+    return {0: ONE}, ({0: ONE},) + ({},) * (n - 1)
 
 
-def scalar_product(m: OperatorMatrix, k: int) -> LaurentPoly:
-    """<W| m^k |V>, exact provided m.dim >= k + 2."""
+def scalar_product(m: tuple, k: int) -> LaurentPoly:
+    """<W| m^k |V>, exact provided len(m) >= k + 2."""
     return scalar_products_upto(m, k)[k]
 
 
-def scalar_products_upto(m: OperatorMatrix, k_max: int) -> list[LaurentPoly]:
+def scalar_products_upto(m: tuple, k_max: int) -> list[LaurentPoly]:
     """[<W| m^k |V> for k = 0..k_max] from one row-vector iteration."""
-    if m.dim < k_max + 2:
+    if len(m) < k_max + 2:
         raise TruncationTooSmall(
-            f"need dim >= {k_max + 2} for power {k_max}, got {m.dim}"
+            f"need dim >= {k_max + 2} for power {k_max}, got {len(m)}"
         )
-    w, v = boundary_vectors(m.dim)
-    nonzero = _nonzero_entries(m)
-    vec = list(w)
-    out = [sum((a * b for a, b in zip(vec, v)), ZERO)]
+    vec, v = boundary_vectors(len(m))
+    out = [_times(vec, v).get(0, ZERO)]
     for _ in range(k_max):
-        vec = _times(vec, nonzero)
-        out.append(sum((a * b for a, b in zip(vec, v)), ZERO))
+        vec = _times(vec, m)
+        out.append(_times(vec, v).get(0, ZERO))
     return out
 
 
-def _nonzero_entries(m: OperatorMatrix) -> list[list[tuple[int, LaurentPoly]]]:
-    """Row i of m as its nonzero entries only: (column, entry) pairs."""
-    return [[(j, e) for j, e in enumerate(row) if not e.is_zero] for row in m.rows]
-
-
-def _times(vec, nonzero) -> list[LaurentPoly]:
-    """The row vector vec times the matrix whose rows' nonzero entries are nonzero."""
-    out = [ZERO] * len(nonzero)
-    for x, row in zip(vec, nonzero):
-        if not x.is_zero:
-            for j, e in row:
-                out[j] = out[j] + x * e
-    return out
-
-
-def _leading_power_rows(m: OperatorMatrix, k_max: int, count: int) -> list:
+def _leading_power_rows(m: tuple, k_max: int, count: int) -> list:
     """Rows 0..count-1 of m^k for k = 0..k_max.  Row i of m^k is row i of
     m^(k-1) times m, so the other rows are never needed."""
-    nonzero = _nonzero_entries(m)
-    out = [identity(m.dim).rows[:count]]
+    out = [[{i: ONE} for i in range(count)]]
     for _ in range(k_max):
-        out.append([_times(vec, nonzero) for vec in out[-1]])
+        out.append([_times(vec, m) for vec in out[-1]])
     return out
+
+
+def _relation_violations(d, e, rhs, commutator: str, hat: str) -> list[str]:
+    """Violations of d e - q e d = rhs on the interior (indices < n-1) and of
+    <W| e = <W|, d |V> = |V> and <W|V> = 1; hat marks the operators' names."""
+    n = len(d)
+    w, v = boundary_vectors(n)
+    violations = []
+    for i in range(n - 1):
+        de, ed = _times(d[i], e), _times(e[i], d)
+        for j in range(n - 1):
+            if de.get(j, ZERO) - Q * ed.get(j, ZERO) != rhs[i].get(j, ZERO):
+                violations.append(f"{commutator} at ({i},{j})")
+    # <W| e = <W| and d |V> = |V> on the first n-1 coordinates
+    we = _times(w, e)
+    for j in range(n - 1):
+        if we.get(j, ZERO) != w.get(j, ZERO):
+            violations.append(f"<W|E{hat} differs at coordinate {j}")
+        if _times(d[j], v).get(0, ZERO) != v[j].get(0, ZERO):
+            violations.append(f"D{hat}|V> differs at coordinate {j}")
+    if _times(w, v).get(0, ZERO) != ONE:
+        violations.append("<W|V> != 1")
+    return violations
 
 
 def verify_ansatz(n: int) -> list[str]:
     """Violations of DE - qED = D + E on the interior and of the boundary conditions."""
     d, e = build_D(n), build_E(n)
-    lhs = d * e - (e * d).scale(Q)
-    rhs = d + e
-    violations = []
-    for i in range(n - 1):
-        for j in range(n - 1):
-            if lhs.rows[i][j] != rhs.rows[i][j]:
-                violations.append(f"DE-qED != D+E at ({i},{j})")
-    # <W| E = <W| and D |V> = |V> on the first n-1 coordinates
-    for j in range(n - 1):
-        want = ONE if j == 0 else ZERO
-        if e.rows[0][j] != want:
-            violations.append(f"<W|E differs at coordinate {j}")
-        if d.rows[j][0] != want:
-            violations.append(f"D|V> differs at coordinate {j}")
-    w, v = boundary_vectors(n)
-    if sum((a * b for a, b in zip(w, v)), ZERO) != ONE:
-        violations.append("<W|V> != 1")
-    return violations
+    return _relation_violations(d, e, _plus(ONE, d, e), "DE-qED != D+E", "")
 
 
 def verify_hat_relations(n: int) -> list[str]:
     """Violations of D^E^ - q E^D^ = (1-q)/q^2 I on the interior and at the boundary."""
-    dh, eh = build_hat(build_D(n)), build_hat(build_E(n))
-    lhs = dh * eh - (eh * dh).scale(Q)
     scalar = LaurentPoly.monomial(1, -2, 0) - LaurentPoly.monomial(1, -1, 0)
-    violations = []
-    for i in range(n - 1):
-        for j in range(n - 1):
-            want = scalar if i == j else ZERO
-            if lhs.rows[i][j] != want:
-                violations.append(f"hat commutator wrong at ({i},{j})")
-    for j in range(n - 1):
-        want = ONE if j == 0 else ZERO
-        if eh.rows[0][j] != want:
-            violations.append(f"<W|E^ differs at coordinate {j}")
-        if dh.rows[j][0] != want:
-            violations.append(f"D^|V> differs at coordinate {j}")
-    return violations
+    return _relation_violations(
+        build_hat(build_D(n)),
+        build_hat(build_E(n)),
+        tuple({i: scalar} for i in range(n)),
+        "hat commutator wrong",
+        "^",
+    )
 
 
 def verify_inversion(
@@ -248,30 +178,29 @@ def verify_inversion(
     yv: LaurentPoly = Y if y is None else (
         LaurentPoly.monomial(y) if isinstance(y, int) else y
     )
-    m = yd_plus_e(dim, yv)
-    mh = yhat_plus_ehat(dim, yv)
     one_plus_y = ONE + yv
     one_minus_q = ONE - Q
     interior = dim - n
-    m_pows = _leading_power_rows(m, n, interior)
-    mh_pows = _leading_power_rows(mh, n, interior)
+    m_pows = _leading_power_rows(yd_plus_e(dim, yv), n, interior)
+    mh_pows = _leading_power_rows(yhat_plus_ehat(dim, yv), n, interior)
     if printed_eq5:
-        pows5 = _leading_power_rows(build_D(dim) + build_E(dim), n, interior)
+        pows5 = _leading_power_rows(yd_plus_e(dim, ONE), n, interior)
     else:
         pows5 = m_pows
 
     violations = []
 
     def compare(which, lhs, lhs_scale, pows, ratio):
-        """lhs_scale * lhs[n] against sum_k binom(n,k) (1+y)^(n-k) (-ratio)^k pows[k]."""
-        coefs = [
-            (one_plus_y ** (n - k)) * (ratio**k) * binomial(n, k) * ((-1) ** k)
+        """lhs_scale * lhs[n] against sum_k binom(n,k) (1+y)^(n-k) (-ratio)^k pows[k]:
+        row i of the sum is those coefficients times the rows i of pows[k]."""
+        coefs = {
+            k: (one_plus_y ** (n - k)) * (ratio**k) * binomial(n, k) * ((-1) ** k)
             for k in range(n + 1)
-        ]
+        }
         for i in range(interior):
+            rhs = _times(coefs, [p[i] for p in pows])
             for j in range(interior):
-                rhs = sum((c * p[i][j] for c, p in zip(coefs, pows)), ZERO)
-                if lhs[n][i][j] * lhs_scale != rhs:
+                if lhs[n][i].get(j, ZERO) * lhs_scale != rhs.get(j, ZERO):
                     violations.append(f"{which} inversion fails at ({i},{j})")
 
     compare("first", m_pows, one_minus_q**n, mh_pows, Q)
@@ -280,9 +209,7 @@ def verify_inversion(
 
 
 __all__ = [
-    "OperatorMatrix",
     "TruncationTooSmall",
-    "identity",
     "build_D",
     "build_E",
     "build_hat",

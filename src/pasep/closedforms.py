@@ -121,8 +121,6 @@ def matching_closed_form(n: int) -> LaurentPoly:
     num = ZERO
     for k in range(n + 1):
         c = binomial(2 * n, n - k) - binomial(2 * n, n - k - 1)
-        if not c:
-            continue
         mono = LaurentPoly.monomial(c, k * (k + 1) // 2, 0)
         num = num + (mono if k % 2 == 0 else -mono)
     return num.exact_div((ONE - Q) ** n)

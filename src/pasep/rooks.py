@@ -150,6 +150,8 @@ def iter_all_placements(n: int):
 @lru_cache(maxsize=None)
 def _placement_profile(n: int) -> tuple[tuple[int, int, int, int, int], ...]:
     """Multiset of (r, s, t, rookless_columns, count) over all placements."""
+    if not 0 <= n <= ROOK_CAP:
+        raise ValueError(f"exhaustive rook enumeration supports n <= {ROOK_CAP}")
     acc: dict[tuple[int, int, int, int], int] = {}
     for pl in iter_all_placements(n):
         r, s, t = pl.statistics()
@@ -171,10 +173,6 @@ def _profile_sum(profile) -> LaurentPoly:
 
 def rook_sum(n: int) -> LaurentPoly:
     """Sum of w(R) over all rook placements of half-perimeter n."""
-    if not 0 <= n <= ROOK_CAP:
-        raise ValueError(f"exhaustive rook enumeration supports n <= {ROOK_CAP}")
-    if n == 0:
-        return ONE
     return _profile_sum(_placement_profile(n))
 
 
@@ -185,8 +183,6 @@ def hat_scalar_product(n: int) -> LaurentPoly:
 
 def column_weight_sum(j: int, k: int, n: int) -> LaurentPoly:
     """T(j,k,n): weights of placements with k columns, j of them rookless."""
-    if not 0 <= n <= ROOK_CAP:
-        raise ValueError(f"exhaustive rook enumeration supports n <= {ROOK_CAP}")
     return _profile_sum(row for row in _placement_profile(n) if row[2:4] == (k, j))
 
 
@@ -222,8 +218,6 @@ def t0_closed(k: int, n: int) -> LaurentPoly:
     total = ZERO
     for i in range(k + 1):
         c = binomial(n, k - i) - binomial(n, k - i - 1)
-        if not c:
-            continue
         term = q_binomial(n - 2 * k + i, i) * LaurentPoly.monomial(
             (-1) ** i * c, i * (i + 1) // 2, 0
         )
@@ -266,8 +260,6 @@ def boundary_g(n: int) -> LaurentPoly:
     out = ZERO
     for j in range(n // 2 + 1):
         c = binomial(n, j) - binomial(n, j - 1)
-        if not c:
-            continue
         inner = LaurentPoly(
             {(i * (n + 1 - 2 * j - i), i + j - 1): 1 for i in range(n - 2 * j + 1)}
         )

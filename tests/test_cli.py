@@ -112,6 +112,12 @@ ROUTE_MODULES = ("ansatz", "closedforms", "crosscheck", "paths", "permstats", "r
         (None, []),
         (["eval", "--method", "theorem1", "-n", "3"], ["closedforms"]),
         (["eval", "--method", "motzkin", "-n", "3"], ["paths"]),
+        (["eval", "--method", "matrix", "-n", "3"], ["ansatz"]),
+        (["eval", "--method", "rooks", "-n", "3"], ["ansatz", "rooks"]),
+        (["eval", "--method", "signed-paths", "-n", "3"], ["paths"]),
+        (["eval", "--method", "williams", "-n", "3"], ["closedforms"]),
+        (["eval", "--method", "permutations-ascent", "-n", "3"], ["permstats"]),
+        (["eval", "--method", "permutations-crossing", "-n", "3"], ["permstats"]),
         (["table", "1..3"], ["closedforms"]),
     ],
 )
@@ -181,6 +187,17 @@ def test_readme_caps_table_matches_method_caps():
     rows = re.findall(r"^\| `([a-z0-9-]+)` \| n<=(\d+) \|", readme, re.MULTILINE)
     assert sorted(method for method, _ in rows) == sorted(cli.METHOD_CAPS)
     assert {method: int(cap) for method, cap in rows} == cli.METHOD_CAPS
+
+
+def test_readme_module_list_names_every_module():
+    """The README's module list has one line for each src/pasep/*.py file
+    but __init__.py."""
+    root = Path(__file__).parents[1]
+    readme = (root / "README.md").read_text()
+    listed = readme[readme.index("\nModules: "):].split("\n\n")[1]
+    named = re.findall(r"^- `([a-z_]+)`: ", listed, re.MULTILINE)
+    files = {p.stem for p in (root / "src" / "pasep").glob("*.py")} - {"__init__"}
+    assert sorted(named) == sorted(files)
 
 
 def test_method_families_worded_alike():
@@ -302,7 +319,7 @@ def test_crosscheck_names_first_differing_term(monkeypatch):
     scalar_product = ansatz.scalar_product
 
     def widened(m, k):  # an extra q^2 y at the widest truncation
-        return scalar_product(m, k) + (Q**2 * Y if m.dim == k + 6 else ZERO)
+        return scalar_product(m, k) + (Q**2 * Y if len(m) == k + 6 else ZERO)
 
     monkeypatch.setattr(ansatz, "scalar_product", widened)
     rep = crosscheck.check_truncation_stability(6)

@@ -7,6 +7,7 @@ before and after, so a cached value computed by the correct code cannot hide
 the defect, nor a defective one outlive its test.  The battery runs at n_max = 5.
 """
 
+import ast
 import inspect
 import os
 import sys
@@ -120,6 +121,21 @@ def test_classical_tail_off_by_one(mutate):
     ]
 
 
+def test_classical_tail_ignores_pending(mutate):
+    # Placing a value never adds its pending occurrences, so every
+    # permutation counts as avoiding 1-3-2: the tail exceeds the q^0
+    # coefficient of the y = 1 polynomial, which the tail bound sees.
+    mutate(permstats, "classical_tail", "total = count + pending[v]", "total = count")
+    assert _failing() == {"check_pattern_tail_bound", "check_kernel_definitions"}
+
+
+def test_classical_count_skips_adjacent(mutate):
+    # The joint kernel leaves the occurrences with adjacent 1 and 3 out of
+    # the classical count, so the vincular count can exceed it.
+    mutate(kernels, "vincular_classical_joint", "cla += 1", "cla += not adjacent")
+    assert _failing() == {"check_pattern_bound", "check_kernel_definitions"}
+
+
 def test_lattice_pairs_one_apart_count_as_meeting(mutate):
     # Paths one unit apart, as at their start, count as meeting, so every
     # left factor that returns to height 0 drops out of the image.
@@ -207,8 +223,9 @@ def test_build_e_below_diagonal_shifted(mutate):
     mutate(
         ansatz,
         "build_E",
-        "[q_int(i + 1) if j in (i - 1, i) else ZERO for j in range(n)]",
-        "[q_int(i + 2 if j < i else i + 1) if j in (i - 1, i) else ZERO for j in range(n)]",
+        "return tuple({j: q_int(i + 1) for j in (i - 1, i) if j >= 0} for i in range(n))",
+        "return tuple({j: q_int(i + 2 if j < i else i + 1) for j in (i - 1, i) if j >= 0}"
+        " for i in range(n))",
     )
     assert _failing() == {
         "check_matrix_vs_theorem1",
@@ -216,6 +233,25 @@ def test_build_e_below_diagonal_shifted(mutate):
         "check_hat_relations",
         "check_rook_sum_vs_matrix",
         "check_boundary_reconciliation",
+    }
+
+
+def test_build_d_rows_reversed(mutate):
+    # D's row i holds [n-i]_q instead of [i+1]_q, so its entries depend on
+    # the truncation size: a wider truncation changes <W|(yD+E)^k|V>.
+    mutate(
+        ansatz,
+        "build_D",
+        "return tuple({j: q_int(i + 1) for j in (i, i + 1) if j < n} for i in range(n))",
+        "return tuple({j: q_int(n - i) for j in (i, i + 1) if j < n} for i in range(n))",
+    )
+    assert _failing() == {
+        "check_matrix_vs_theorem1",
+        "check_ansatz_relations",
+        "check_hat_relations",
+        "check_rook_sum_vs_matrix",
+        "check_boundary_reconciliation",
+        "check_truncation_stability",
     }
 
 
@@ -238,8 +274,8 @@ def test_hat_diagonal_without_inverse_q(mutate):
     mutate(
         ansatz,
         "build_hat",
-        "m.rows[i][j] * _HAT_SCALE + (_Q_INV if i == j else ZERO)",
-        "m.rows[i][j] * _HAT_SCALE + (ONE if i == j else ZERO)",
+        "_times({0: _HAT_SCALE, 1: _Q_INV}, (row, {i: ONE}))",
+        "_times({0: _HAT_SCALE, 1: ONE}, (row, {i: ONE}))",
     )
     assert _failing() == {
         "check_hat_relations",
@@ -247,6 +283,18 @@ def test_hat_diagonal_without_inverse_q(mutate):
         "check_rook_sum_vs_matrix",
         "check_boundary_reconciliation",
     }
+
+
+def test_printed_inversion_built_from_yd_plus_e(mutate):
+    # The printed variant's (D+E)^k is built as (yD+E)^k, the corrected
+    # form, so it holds at y = 2 where the printed form must fail.
+    mutate(
+        ansatz,
+        "verify_inversion",
+        "pows5 = _leading_power_rows(yd_plus_e(dim, ONE), n, interior)",
+        "pows5 = _leading_power_rows(yd_plus_e(dim, yv), n, interior)",
+    )
+    assert _failing() == {"check_inversion_printed_variant"}
 
 
 def test_rook_weight_exponent(mutate, monkeypatch):
@@ -337,3 +385,34 @@ def test_asymptotic_ratio_exponent(mutate):
         "return float(Fraction(coeff * factorial(m), 4**n)) * sqrt(pi) * n ** (1.4 - m)",
     )
     assert _failing() == {"check_asymptotic_trend"}
+
+
+# Checks that no mutant above makes fail, each with the reason it has none.
+UNCAUGHT: dict[str, str] = {}
+
+
+def test_every_check_fails_under_some_mutant():
+    """The failing sets asserted in this file cover every crosscheck check
+    but those in UNCAUGHT: a new check needs a mutant or a stated reason."""
+    caught = set()
+    for func in ast.parse(inspect.getsource(sys.modules[__name__])).body:
+        if not isinstance(func, ast.FunctionDef):
+            continue
+        named_sets = {
+            target.id: node.value
+            for node in ast.walk(func)
+            if isinstance(node, ast.Assign) and isinstance(node.value, ast.Set)
+            for target in node.targets
+        }
+        for node in ast.walk(func):
+            if (
+                isinstance(node, ast.Compare)
+                and isinstance(node.left, ast.Call)
+                and getattr(node.left.func, "id", None) == "_failing"
+            ):
+                (expected,) = node.comparators
+                expected = named_sets.get(getattr(expected, "id", None), expected)
+                caught |= ast.literal_eval(expected)
+    names = {check.__name__ for check in crosscheck.CHECKS}
+    assert caught <= names
+    assert names - caught == set(UNCAUGHT)
