@@ -54,9 +54,8 @@ def build_E(n: int) -> tuple:
     return tuple({j: q_int(i + 1) for j in (i - 1, i) if j >= 0} for i in range(n))
 
 
-# (q-1)/q as a Laurent polynomial.
-_HAT_SCALE = ONE - LaurentPoly.monomial(1, -1, 0)
 _Q_INV = LaurentPoly.monomial(1, -1, 0)
+_HAT_SCALE = ONE - _Q_INV  # (q-1)/q
 
 
 def build_hat(m: tuple) -> tuple:
