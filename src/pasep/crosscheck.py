@@ -4,9 +4,9 @@ Each check is declared once, with its report name and the sizes it runs at
 for a given n_max.  Exhaustive methods stop at their own feasibility caps and
 cheap closed forms may run past n_max, so a single n_max steers everything,
 and every report records the sizes it covered.  A check body takes those
-sizes, or one part of them, and yields one string per violation.  The CLI
-`crosscheck` verb runs the whole list, on every usable CPU; the acceptance
-test suite drives the same functions.
+sizes and yields one string per violation.  The CLI `crosscheck` verb runs
+the whole list, on every usable CPU; the acceptance test suite drives the
+same functions.
 """
 
 from __future__ import annotations
@@ -52,32 +52,26 @@ class CheckReport:
 CHECKS: list = []  # every check, in declaration order: the report's order
 
 
-def _check(name: str, sizes, parts=lambda ns: (ns,)):
-    """Declare body(part) -> violations as check(n_max) -> CheckReport, run
+def _check(name: str, sizes):
+    """Declare body(sizes) -> violations as check(n_max) -> CheckReport, run
     at sizes(n_max), and append it to CHECKS.
 
-    The body runs once per element of parts(sizes), in order, and the report
-    joins their violations; by default the one part is the sizes themselves,
-    and a part that raises ends with the exception as one more violation.
-    check.parts(n_max) lists those parts, and check(n_max, part) reports on
-    one of them alone, so run_all can spread a long check across processes.
+    A body that raises ends with the exception as one more violation.
     """
 
     def declare(body):
         @functools.wraps(body)
-        def check(n_max: int, part=None) -> CheckReport:
+        def check(n_max: int) -> CheckReport:
             ns = tuple(sizes(n_max))
             violations = []
-            for piece in parts(ns) if part is None else (part,):
-                try:
-                    for violation in body(piece):
-                        violations.append(violation)
-                except Exception as exc:
-                    traceback.print_exc()
-                    violations.append(f"raised {type(exc).__name__}: {exc}")
+            try:
+                for violation in body(ns):
+                    violations.append(violation)
+            except Exception as exc:
+                traceback.print_exc()
+                violations.append(f"raised {type(exc).__name__}: {exc}")
             return CheckReport(name, violations, ns)
 
-        check.parts = lambda n_max: tuple(parts(tuple(sizes(n_max))))
         CHECKS.append(check)
         return check
 
@@ -189,45 +183,40 @@ def check_left_factor_counts(ns):
                     yield f"(n,k,j)=({n},{k},{j}): {a} != {b}"
 
 
-# One part per (size, first step).  The largest, NE or NE* first at n = 7,
-# holds 17 % of the paths, so a pool can balance the parts with the rest.
-@_check(
-    "decomposition round-trip",
-    _upto(7),
-    parts=lambda ns: [(n, step) for n in ns for step in paths.first_steps()],
-)
-def check_decompose_roundtrip(part):
-    """One part: the paths of length n that begin with the step first.
+@_check("decomposition round-trip", _upto(7))
+def check_decompose_roundtrip(ns):
+    """Every labelled path of each length in ns, in one walk of the path tree.
 
-    The walk folds decompose and the weight once per prefix.  Each path is
-    recomposed and compared with itself, and its weight with its core's
-    times y^j.  Each distinct core is validated and weighed once, and must
-    be in the core set and be its own core, under a left factor of NEs.
+    The walk folds decompose, the weight and recompose once per prefix.
+    Each path's rebuilt steps are compared with its own, and its weight
+    with its core's times y^j.  Each distinct core is validated and weighed
+    once, and must be in the core set and be its own core, under a left
+    factor of NEs.
     """
-    n, first = part
-    decompose, recompose = paths.decompose, paths.recompose
+    decompose = paths.decompose
     NE, SE, E1 = paths.NE, paths.SE, paths.E1
-    cores = {}  # core steps -> (core path, what is wrong with it, its weight)
-    for steps, left, core_steps, weight in paths.iter_decomposed_paths(n, (first,)):
-        known = cores.get(core_steps)
-        if known is None:
-            core = paths.LabeledMotzkinPath(core_steps)
-            if not core.in_core_set():
-                fault = "core not in core set"
-            elif decompose(core) != ((NE,) * len(core), core):
-                fault = "core is not its own core"
-            else:
-                fault = ""
-            known = cores[core_steps] = (core, fault, core.signed_exponents())
-        core, fault, (sign, e_q, e_y) = known
-        if fault:
-            yield f"{fault} for {_serialize(steps)}"
-            continue
-        if recompose(left, core).steps != steps:
-            yield f"round trip failed for {_serialize(steps)}"
-        j = left.count(SE) + left.count(E1)
-        if (sign, e_q, e_y + j) != weight:
-            yield f"weight split failed for {_serialize(steps)}"
+    cores = {}  # core steps -> (what is wrong with the core, its weight)
+    for n in ns:
+        for steps, left, core_steps, weight, rebuilt in paths.iter_decomposed_paths(n):
+            known = cores.get(core_steps)
+            if known is None:
+                core = paths.LabeledMotzkinPath(core_steps)
+                if not core.in_core_set():
+                    fault = "core not in core set"
+                elif decompose(core) != ((NE,) * len(core), core):
+                    fault = "core is not its own core"
+                else:
+                    fault = ""
+                known = cores[core_steps] = (fault, core.signed_exponents())
+            fault, (sign, e_q, e_y) = known
+            if fault:
+                yield f"{fault} for {_serialize(steps)}"
+                continue
+            if rebuilt != steps:
+                yield f"round trip failed for {_serialize(steps)}"
+            j = left.count(SE) + left.count(E1)
+            if (sign, e_q, e_y + j) != weight:
+                yield f"weight split failed for {_serialize(steps)}"
 
 
 def _serialize(steps) -> str:
@@ -525,46 +514,38 @@ def check_asymptotic_trend(ns):
             yield f"m=0 ratio at n={ns[-1]} is {ratios[-1]}"
 
 
-def _run_part(task, n_max: int) -> CheckReport:
-    return CHECKS[task[0]](n_max, task[1])
+def _run_check(index: int, n_max: int) -> CheckReport:
+    return CHECKS[index](n_max)
 
 
 def run_all(n_max: int) -> list[CheckReport]:
     """Run every check; reports come back in the declared order.
 
-    Each part of each check is one task, in the declared order, and the
-    parts' reports are joined in that order into the check's report.  With
-    one usable CPU the tasks run in this process.  Otherwise they run in a
-    pool of forked processes, one per usable CPU (at most one per check), so
-    a long check split into parts keeps every worker busy.  The checks share
-    no state beyond memoised results, and a forked worker inherits this
-    process's modules as they stand, caches and any patched functions
-    included, so it is sent only the check's index and the part.  The pool
-    forks every worker before it starts its own thread.
+    With one usable CPU the checks run in this process, in order.
+    Otherwise they run in a pool of forked processes, one per usable CPU
+    (at most one per check), which take the checks in order as they come
+    free.  The checks share no state beyond memoised results, and a forked
+    worker inherits this process's modules as they stand, caches and any
+    patched functions included, so it is sent only the check's index.  The
+    pool forks every worker before it starts its own thread.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    tasks = [(i, part) for i, check in enumerate(CHECKS) for part in check.parts(n_max)]
+    indices = range(len(CHECKS))
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     workers = min(len(CHECKS), cpus)
     if workers < 2:
-        reports = map(_run_part, tasks, repeat(n_max))
-    else:
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
+        return list(map(_run_check, indices, repeat(n_max)))
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
 
-        sys.stdout.flush()  # a forked child must not inherit unwritten output
-        sys.stderr.flush()
-        pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
-        try:
-            reports = list(pool.map(_run_part, tasks, repeat(n_max)))
-        finally:
-            pool.shutdown(cancel_futures=True)
-    joined: dict[int, CheckReport] = {}
-    for (i, _), report in zip(tasks, reports):
-        whole = joined.setdefault(i, CheckReport(report.name, [], report.sizes))
-        whole.violations += report.violations
-    return list(joined.values())
+    sys.stdout.flush()  # a forked child must not inherit unwritten output
+    sys.stderr.flush()
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    try:
+        return list(pool.map(_run_check, indices, repeat(n_max)))
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 __all__ = ["CHECKS", "run_all"] + [c.__name__ for c in CHECKS]

@@ -159,6 +159,8 @@ class LaurentPoly:
         if len(a) < len(b):
             a, b = b, a
         if len(b) == 1:
+            if len(a) == 1 and len(next(iter(a.values()))[1]) == 1:
+                a, b = b, a  # the monomial may be either factor
             (yb, (lb, rb)), = b.items()
             if len(rb) == 1:  # a monomial factor shifts the rows
                 c = rb[0]

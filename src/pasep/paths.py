@@ -22,9 +22,9 @@ factor, recorded over the same four step kinds) and a core path, and
 ``recompose`` inverts it.  The core is the starred steps plus the plain NE
 and SE steps left unmatched when plain NE/SE are matched like brackets
 within their run of plain steps; the left factor is the path with each core
-step replaced by NE.  decompose and the labelled weight are each one
-per-step rule, folded over a path; ``iter_decomposed_paths`` carries both
-down the enumeration's prefix tree, so each prefix is folded once.  Left
+step replaced by NE.  decompose, recompose and the labelled weight are each
+one per-step rule, folded over a path; ``iter_decomposed_paths`` carries all
+three down the enumeration's prefix tree, so each prefix is folded once.  Left
 factors are also counted two independent ways: by a height transfer and
 through non-intersecting lattice-path pairs.
 
@@ -102,11 +102,12 @@ class LabeledMotzkinPath:
 _set_steps = LabeledMotzkinPath.steps.__set__  # bypasses the frozen __setattr__
 
 # -- the per-step rules ------------------------------------------------------
-# Each takes a state and one (kind, starred) step and returns the next state.
-# signed_exponents and decompose fold them over a path's steps, and the path
-# enumeration carries both down its prefix tree, folding each prefix once.
-# Every user looks a rule up by name when it runs, so a replaced rule reaches
-# them all.
+# Each takes a state and one step and returns the next state: a (kind,
+# starred) step of the path for the weight and decompose, a left-factor kind
+# for recompose.  signed_exponents, decompose and recompose fold them over a
+# path's steps, and the path enumeration carries all three down its prefix
+# tree, folding each prefix once.  Every user looks a rule, and _fill, up by
+# name when it runs, so a replaced one reaches them all.
 
 _WEIGHT_START = (1, 0, 0, 0)
 
@@ -150,6 +151,32 @@ def _decompose_step(state, step):
     return left + (kind,), core, open_ne
 
 
+_RECOMPOSE_START = ((), ())
+
+
+def _recompose_step(state, kind):
+    """recompose's rule, on (plain steps, slots): the slots are the positions
+    of the NEs that no SE has matched yet, in order."""
+    out, slots = state
+    if kind == NE:
+        slots += (len(out),)
+    elif kind == SE:
+        if not slots:
+            raise ValueError("not a valid (left factor, core) pair")
+        slots = slots[:-1]
+    return out + (_PLAIN[kind],), slots
+
+
+def _fill(state, core_steps):
+    """The plain steps of a recompose state with the core's steps put into
+    its slots, in order."""
+    out, slots = state
+    out = list(out)
+    for i, step in zip(slots, core_steps):
+        out[i] = step
+    return tuple(out)
+
+
 # -- enumeration ---------------------------------------------------------------
 
 # (restricted, can descend, last step a plain NE) -> the (step, rise) choices
@@ -170,70 +197,57 @@ _NEXT_STEPS = {
 
 
 def _extend(prefixes, top: int, restricted: bool):
-    """Each (steps, height, decompose state, weight state) prefix extended by
-    one step, in order, keeping the prefixes that end at height top or below."""
+    """Each (steps, height, decompose state, weight state, recompose state)
+    prefix extended by one step, in order, keeping the prefixes that end at
+    height top or below.  recompose's rule takes the left-factor step that
+    decompose's has just emitted."""
     decompose_step, weight_step = _decompose_step, _weight_step
-    for steps, h, split, weight in prefixes:
+    recompose_step = _recompose_step
+    for steps, h, split, weight, rebuild in prefixes:
         after_plain_ne = restricted and steps[-1:] == (_PLAIN_NE,)
         for step, rise in _NEXT_STEPS[restricted, h > 0, after_plain_ne]:
             if h + rise <= top:
-                yield (steps + (step,), h + rise,
-                       decompose_step(split, step), weight_step(weight, step))
+                following = decompose_step(split, step)
+                yield (steps + (step,), h + rise, following,
+                       weight_step(weight, step),
+                       recompose_step(rebuild, following[0][-1]))
 
 
-def _starting(prefixes, step):
-    """The prefixes whose last step is step."""
-    for item in prefixes:
-        if item[0][-1] == step:
-            yield item
-
-
-def _walk(n: int, restricted: bool, prefix):
-    """The closed paths of length n that begin with prefix, as _extend's
-    items, in lexicographic order of their steps.
+def _walk(n: int, restricted: bool):
+    """The closed paths of length n, as _extend's items, in lexicographic
+    order of their steps.
 
     Each level extends the prefixes of the one before by one step, lazily,
     so one prefix per level is held at once.
     """
-    if len(prefix) > n:
-        return iter(())
-    level = iter([((), 0, _DECOMPOSE_START, _WEIGHT_START)])
+    level = iter([((), 0, _DECOMPOSE_START, _WEIGHT_START, _RECOMPOSE_START)])
     for pos in range(n):
         level = _extend(level, n - pos - 1, restricted)
-        if pos < len(prefix):
-            level = _starting(level, prefix[pos])
     return level
 
 
-def iter_labelled_paths(n: int, restricted: bool = False, prefix=()):
-    """Yield every labelled closed path of length n (core subset if restricted)
-    that begins with the steps of prefix.
+def iter_labelled_paths(n: int, restricted: bool = False):
+    """Yield every labelled closed path of length n (core subset if restricted).
 
     Paths come in lexicographic order of their steps, kinds ordered NE, SE,
-    E1, E2 and plain before starred.  A prefix that no such path begins with
-    yields nothing.
+    E1, E2 and plain before starred.
     """
-    for steps, _, _, _ in _walk(n, restricted, prefix):
+    for steps, _, _, _, _ in _walk(n, restricted):
         yield LabeledMotzkinPath(steps)
 
 
-def iter_decomposed_paths(n: int, prefix=()):
-    """Yield (steps, left, core steps, (sign, e_q, e_y)) for every labelled
-    closed path of length n that begins with prefix, in the order of
+def iter_decomposed_paths(n: int):
+    """Yield (steps, left, core steps, (sign, e_q, e_y), rebuilt steps) for
+    every labelled closed path of length n, in the order of
     iter_labelled_paths.
 
-    (left, core steps) is what decompose returns for the path and the triple
-    is its signed_exponents(); both are folded once per prefix, not once per
-    path.
+    (left, core steps) is what decompose returns for the path, the triple is
+    its signed_exponents(), and the rebuilt steps are recompose(left, core)'s;
+    each rule is folded once per prefix, not once per path.
     """
-    for steps, _, (left, core, _), (sign, eq, ey, _) in _walk(n, False, prefix):
-        yield steps, left, core, (sign, eq, ey)
-
-
-def first_steps(restricted: bool = False) -> tuple:
-    """The steps a path can begin with, in the order iter_labelled_paths
-    yields them: its paths are those of each one-step prefix, in turn."""
-    return tuple(step for step, _ in _NEXT_STEPS[restricted, False, False])
+    fill = _fill
+    for steps, _, (left, core, _), (sign, eq, ey, _), rebuild in _walk(n, False):
+        yield steps, left, core, (sign, eq, ey), fill(rebuild, core)
 
 
 # -- generating polynomial by height-indexed transfer -----------------------
@@ -319,21 +333,10 @@ def recompose(
 
     The NEs of left that no SE matches are the core's slots, in order.
     """
-    slots: list[int] = []
-    out = []  # left's steps, plain
-    for kind in left:
-        if kind == NE:
-            slots.append(len(out))
-        elif kind == SE:
-            if not slots:
-                raise ValueError("not a valid (left factor, core) pair")
-            slots.pop()
-        out.append(_PLAIN[kind])
-    if len(slots) != len(core):
+    state = reduce(_recompose_step, left, _RECOMPOSE_START)
+    if len(state[1]) != len(core):
         raise ValueError("core length does not match the left factor")
-    for i, step in zip(slots, core.steps):
-        out[i] = step
-    return LabeledMotzkinPath(tuple(out))
+    return LabeledMotzkinPath(_fill(state, core.steps))
 
 
 # -- left factors --------------------------------------------------------------
@@ -548,7 +551,6 @@ __all__ = [
     "IntersectingPair",
     "iter_labelled_paths",
     "iter_decomposed_paths",
-    "first_steps",
     "motzkin_polynomial",
     "motzkin_polynomials_upto",
     "labelled_path_sum",

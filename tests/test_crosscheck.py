@@ -81,23 +81,18 @@ def test_pool_reports_what_a_check_raises(pools, monkeypatch):
     }
 
 
-def test_pool_joins_round_trip_parts_in_order(pools, monkeypatch):
+def test_pool_reports_round_trip_violations_as_in_process(pools, monkeypatch):
     # A core with a starred E2 step counts as outside the core set: the round
-    # trip reports violations, not an exception, in many of its parts.
+    # trip, one task, reports violations at every size, not an exception.
     in_core_set = paths.LabeledMotzkinPath.in_core_set
     monkeypatch.setattr(
         paths.LabeledMotzkinPath,
         "in_core_set",
         lambda self: in_core_set(self) and (paths.E2, True) not in self.steps,
     )
-    check = crosscheck.check_decompose_roundtrip
-    want = check(5)
-    parts = check.parts(5)
-    assert len(parts) == 5 * len(paths.first_steps())
-    alone = [check(5, part) for part in parts]
-    failing = [part for part, report in zip(parts, alone) if not report.ok]
-    assert len(failing) > 10 and failing[0][0] == 1 and failing[-1][0] == 5
-    assert want.violations == [v for report in alone for v in report.violations]
+    want = crosscheck.check_decompose_roundtrip(5)
+    assert want.violations[0] == "core not in core set for F2*"
+    assert want.violations[-1] == "core not in core set for F2* F2* F2* F2* F2*"
 
     reports = crosscheck.run_all(5)
     assert pools == [2]
@@ -107,23 +102,22 @@ def test_pool_joins_round_trip_parts_in_order(pools, monkeypatch):
     assert not got.ok and got.sizes == (1, 2, 3, 4, 5)
 
 
-def test_pool_reports_what_a_part_raises(pools, monkeypatch):
-    recompose = paths.recompose
+def test_pool_reports_what_the_round_trip_fill_raises(pools, monkeypatch):
+    fill = paths._fill
 
-    def broken(left, core):  # only in the parts whose paths begin with E1
-        if left[0] == paths.E1:
+    def broken(state, core_steps):  # only on the paths that begin with a plain E1
+        if state[0][0] == (paths.E1, False):
             raise paths.IntersectingPair("broken on purpose")
-        return recompose(left, core)
+        return fill(state, core_steps)
 
-    monkeypatch.setattr(paths, "recompose", broken)
+    monkeypatch.setattr(paths, "_fill", broken)
     reports = crosscheck.run_all(3)
     assert pools == [2]
     assert _fields(reports) == _fields(check(3) for check in crosscheck.CHECKS)
-    # A plain first E1 stays in the left factor: each of the three parts
-    # that begin with one stops at its first path, and the other parts pass.
-    raised = ["raised IntersectingPair: broken on purpose"] * 3
+    # The first path, F1, is one: the round trip stops there, with one
+    # violation, and every other check passes.
     assert {r.name: r.violations for r in reports if not r.ok} == {
-        "decomposition round-trip": raised
+        "decomposition round-trip": ["raised IntersectingPair: broken on purpose"]
     }
 
 
@@ -140,27 +134,27 @@ def test_cli_import_loads_no_pool_modules():
 
 
 def test_round_trip_visits_every_labelled_path(monkeypatch):
-    """The walk yields, and recompose runs on, each labelled path of each
+    """The walk yields, and the fill rebuilds, each labelled path of each
     length n <= 5 once: 2^n C(n+1) paths, 4 + 20 + 112 + 672 + 4224 in all."""
-    calls = {"iter_decomposed_paths": 0, "recompose": 0}
-    walk, recompose = paths.iter_decomposed_paths, paths.recompose
+    calls = {"iter_decomposed_paths": 0, "_fill": 0}
+    walk, fill = paths.iter_decomposed_paths, paths._fill
 
     def counted_walk(*args):
         for item in walk(*args):
             calls["iter_decomposed_paths"] += 1
             yield item
 
-    def counted_recompose(*args):
-        calls["recompose"] += 1
-        return recompose(*args)
+    def counted_fill(*args):
+        calls["_fill"] += 1
+        return fill(*args)
 
     monkeypatch.setattr(paths, "iter_decomposed_paths", counted_walk)
-    monkeypatch.setattr(paths, "recompose", counted_recompose)
+    monkeypatch.setattr(paths, "_fill", counted_fill)
     report = crosscheck.check_decompose_roundtrip(5)
     assert report.ok and report.sizes == (1, 2, 3, 4, 5)
     total = sum(2**n * catalan(n + 1) for n in report.sizes)
     assert total == 5032
-    assert calls == {"iter_decomposed_paths": total, "recompose": total}
+    assert calls == {"iter_decomposed_paths": total, "_fill": total}
 
 
 def test_positivity_reports_a_zero_polynomial(monkeypatch):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pasep import laurent
 from pasep.laurent import (
     ONE,
     Q,
@@ -208,6 +209,21 @@ def test_pow_matches_repeated_multiplication():
 @given(any_polys, any_polys)
 def test_mul_matches_naive_product(a, b):
     assert a * b == naive_product(a, b)
+
+
+def test_monomial_factor_shifts_rows_on_either_side(monkeypatch):
+    """A monomial times a polynomial is a shift of the rows, whichever side
+    the monomial is on, as in Y * q_int(h + 1) in the Motzkin transfer."""
+    polys = (ONE + Q + Q**2, 3 * ONE - Q**4, (ONE + Q) * Y + Q**2 * Y**3, Q)
+    monomials = (Y, 2 * ONE, LaurentPoly.monomial(-3, -2, 1), Q)
+    want = [(m, p, naive_product(m, p)) for m in monomials for p in polys]
+
+    def refuse(a, b):
+        raise AssertionError("a monomial factor took the general row product")
+
+    monkeypatch.setattr(laurent, "_row_product", refuse)
+    for m, p, product in want:
+        assert (m * p)._rows == (p * m)._rows == product._rows
 
 
 def test_dense_mul_fraction_coefficients():

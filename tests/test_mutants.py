@@ -86,17 +86,19 @@ def test_decompose_keeps_open_nes_plain(mutate):
 
 
 def test_recompose_fills_slots_in_reverse(mutate):
-    # The core's steps land in the wrong slots, so a rebuilt path can dip
-    # below the axis.
+    # The core's steps land in the wrong slots, so a path with two or more
+    # core steps is not rebuilt.  The defect is in recompose's fill, which
+    # the round trip's walk runs on every path.
     mutate(
         paths,
-        "recompose",
-        "for i, step in zip(slots, core.steps):",
-        "for i, step in zip(reversed(slots), core.steps):",
+        "_fill",
+        "for i, step in zip(slots, core_steps):",
+        "for i, step in zip(reversed(slots), core_steps):",
     )
     assert _failing() == {"check_decompose_roundtrip"}
-    raised = set(_raised(crosscheck.check_decompose_roundtrip))
-    assert raised == {"raised ValueError: path dips below the axis"}
+    violations = crosscheck.check_decompose_roundtrip(N_MAX).violations
+    assert violations[0] == "round trip failed for U D*"
+    assert not _raised(crosscheck.check_decompose_roundtrip)
 
 
 def test_starred_up_step_shifted_by_h(mutate):

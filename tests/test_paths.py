@@ -1,6 +1,7 @@
 """Motzkin transfer polynomial, labelled sums, decomposition and LGV checks."""
 
 import dataclasses
+from functools import reduce
 from itertools import product
 
 import pytest
@@ -165,51 +166,22 @@ def test_decompose_is_greedy_closed_prefix_peeling():
             assert (left, core.steps) == reference(p), p.serialize()
 
 
-@pytest.mark.parametrize("restricted", [False, True])
-def test_paths_by_first_step_make_every_path(restricted):
-    for n in range(1, 8):
-        whole = [p.steps for p in paths.iter_labelled_paths(n, restricted)]
-        by_first = [
-            p.steps
-            for step in paths.first_steps(restricted)
-            for p in paths.iter_labelled_paths(n, restricted, prefix=(step,))
-        ]
-        assert by_first == whole
-        if not restricted:
-            assert len(whole) == catalan(n + 1) * 2**n
-
-
 def test_walk_yields_each_path_with_its_decomposition_and_weight():
-    """The walk folds both step rules once per prefix; each path it yields
-    carries what decompose and signed_exponents give for that path alone."""
+    """The walk folds the three step rules once per prefix; each path it
+    yields carries what decompose, signed_exponents and recompose give for
+    that path alone."""
     for n in range(7):
-        for prefix in [()] + [(step,) for step in paths.first_steps()]:
-            walked = list(paths.iter_decomposed_paths(n, prefix))
-            want = list(paths.iter_labelled_paths(n, prefix=prefix))
-            assert [steps for steps, _, _, _ in walked] == [p.steps for p in want]
-            for (_, left, core, weight), p in zip(walked, want):
-                split = paths.decompose(p)
-                assert (left, core) == (split[0], split[1].steps), p.serialize()
-                assert weight == p.signed_exponents(), p.serialize()
-    ne, se, e2 = (paths.NE, False), (paths.SE, False), (paths.E2, False)
-    for n, prefix in ((1, (ne,)), (3, (ne, ne)), (3, (se,)), (1, (e2, e2)),
-                      (3, (ne, ne, se))):
-        assert list(paths.iter_decomposed_paths(n, prefix)) == [], (n, prefix)
-
-
-def test_prefix_no_path_begins_with_yields_nothing():
-    ne, se, e2 = (paths.NE, False), (paths.SE, False), (paths.E2, False)
-    assert list(paths.iter_labelled_paths(1, prefix=(ne,))) == []  # cannot close
-    assert list(paths.iter_labelled_paths(3, prefix=(ne, ne))) == []
-    assert list(paths.iter_labelled_paths(3, prefix=(se,))) == []  # below the axis
-    assert list(paths.iter_labelled_paths(1, prefix=(e2, e2))) == []  # too long
-    # A plain east step is not a core step.
-    assert list(paths.iter_labelled_paths(2, True, prefix=(e2,))) == []
-    assert list(paths.iter_labelled_paths(3, prefix=(ne, ne, se))) == []
-    got = [p.serialize() for p in paths.iter_labelled_paths(2, prefix=(ne,))]
-    assert got == ["U D", "U D*"]
-    got = [p.serialize() for p in paths.iter_labelled_paths(2, prefix=(ne, se))]
-    assert got == ["U D"]
+        walked = list(paths.iter_decomposed_paths(n))
+        want = list(paths.iter_labelled_paths(n))
+        assert [steps for steps, _, _, _, _ in walked] == [p.steps for p in want]
+        assert len(want) == catalan(n + 1) * 2**n
+        for (steps, left, core, weight, rebuilt), p in zip(walked, want):
+            split = paths.decompose(p)
+            assert (left, core) == (split[0], split[1].steps), p.serialize()
+            assert weight == p.signed_exponents(), p.serialize()
+            folded = reduce(paths._recompose_step, left, paths._RECOMPOSE_START)
+            assert rebuilt == paths._fill(folded, core) == steps, p.serialize()
+            assert paths.recompose(*split).steps == steps, p.serialize()
 
 
 def test_lgv_translation_example():
