@@ -114,8 +114,8 @@ def test_pool_reports_what_the_round_trip_fill_raises(pools, monkeypatch):
     reports = crosscheck.run_all(3)
     assert pools == [2]
     assert _fields(reports) == _fields(check(3) for check in crosscheck.CHECKS)
-    # The first path, F1, is one: the round trip stops there, with one
-    # violation, and every other check passes.
+    # F1, the first path walked, begins with one: the round trip stops
+    # there, with one violation, and every other check passes.
     assert {r.name: r.violations for r in reports if not r.ok} == {
         "decomposition round-trip": ["raised IntersectingPair: broken on purpose"]
     }
