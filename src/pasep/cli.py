@@ -6,14 +6,16 @@ Verbs:
   table       emit coefficient tables over a range of sizes
 
 Exit codes: 0 success, 1 identity failure (crosscheck), 2 usage error,
-3 method cap exceeded.  Output on stdout is byte-deterministic for a fixed
-command line; progress/timing goes to stderr.
+3 method cap exceeded, 141 stdout closed before the output was written
+(the shell's status for SIGPIPE).  Output on stdout is byte-deterministic
+for a fixed command line; progress/timing goes to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 import time
@@ -35,6 +37,9 @@ METHOD_CAPS = {
 }
 
 CROSSCHECK_CAP = 9
+
+# Exit status when the reader closes stdout early, as in `pasep ... | head`.
+EXIT_PIPE_CLOSED = 141
 
 # Each method imports the modules of its own route when it runs, so a
 # process loads only the route it evaluates.
@@ -271,11 +276,20 @@ def cmd_table(n_range: tuple[int, int], coeff: tuple[int, int], fmt: str) -> int
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "eval":
-        return cmd_eval(args.method, args.n, args.q, args.y, args.format)
-    if args.command == "crosscheck":
-        return cmd_crosscheck(args.n_max, args.format)
-    return cmd_table(args.range, args.coeff, args.format)
+    try:
+        if args.command == "eval":
+            status = cmd_eval(args.method, args.n, args.q, args.y, args.format)
+        elif args.command == "crosscheck":
+            status = cmd_crosscheck(args.n_max, args.format)
+        else:
+            status = cmd_table(args.range, args.coeff, args.format)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The rest of the output goes to devnull, so the flush at exit
+        # meets no closed pipe either.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE_CLOSED
+    return status
 
 
 if __name__ == "__main__":

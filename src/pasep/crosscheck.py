@@ -484,13 +484,15 @@ def check_kernel_definitions(ns):
     if LaurentPoly(hist) != permstats.matching_crossing_polynomial(n):
         yield "matching table differs from definitions"
     for size in range(1, n + 1):
-        for restricted in (False, True):
-            table = kernels.signed_path_table(size, restricted)
-            for p in paths.iter_labelled_paths(size, restricted):
-                sign, e_q, e_y = p.signed_exponents()
-                table[e_y][e_q] -= sign
+        labelled = kernels.signed_path_table(size, False)
+        core = kernels.signed_path_table(size, True)
+        for p in paths.iter_labelled_paths(size):
+            sign, e_q, e_y = p.signed_exponents()
+            labelled[e_y][e_q] -= sign
+            if p.in_core_set():
+                core[e_y][e_q] -= sign
+        for kind, table in (("labelled", labelled), ("core", core)):
             if any(map(any, table)):
-                kind = "core" if restricted else "labelled"
                 yield f"{kind} path sum differs from definitions at n={size}"
     for size in range(n + 1):
         counts: dict = {}

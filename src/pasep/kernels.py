@@ -1,12 +1,13 @@
 """Enumeration kernels: the bulk tables behind the exhaustive routes.
 
-Every kernel in ``__all__`` returns plain nested lists of ints; the library
-reads the signed-path sums as polynomials, from ``signed_path_sum``.  The
-labelled-path and left-factor tables are transfer DPs over path heights,
-polynomial in n; the ascent table is a DP over the 2^n sets of used values.  The crossing
-statistics stay brute force over every permutation or matching, each one
-counted from its definition: computing them through open-arc counts would
-run the bijection they are the oracle for.
+``BACKEND`` names the one backend, and every kernel after it in ``__all__``
+returns plain nested lists of ints; the library reads the signed-path sums
+as polynomials, from ``signed_path_sum``.  The labelled-path and left-factor
+tables are transfer DPs over path heights, polynomial in n; the ascent table
+is a DP over the 2^n sets of used values.  The crossing statistics stay
+brute force over every permutation or matching, each one counted from its
+definition: computing them through open-arc counts would run the bijection
+they are the oracle for.
 """
 
 from __future__ import annotations
@@ -174,8 +175,9 @@ def matching_crossing_hist(n: int) -> list[int]:
 # starting at height h:
 #   NE, E1:  y   (plain)   or  -y*q^(h+1)  (starred)
 #   SE, E2:  1   (plain)   or  -q^h        (starred)
-# The restricted (core) set additionally requires every east step to be
-# starred and forbids a plain NE immediately followed by a plain SE.
+# The restricted (core) set, paths.LabeledMotzkinPath.in_core_set, also
+# requires every east step to be starred and forbids a plain NE immediately
+# followed by a plain SE.
 
 
 def _labelled_path_sum(n: int) -> LaurentPoly:
@@ -200,14 +202,14 @@ def _labelled_path_sum(n: int) -> LaurentPoly:
     return dp[0]
 
 
-def _core_path_counts(n: int, mark_z: bool) -> dict:
-    """{z: poly}: the signed weight sum over the core paths of length n with
-    z starred steps (z always 0 unless mark_z).
+def _core_path_counts(n: int, mark_z: bool) -> list:
+    """[S_0, S_1, ...]: S_z is the signed weight sum over the core paths of
+    length n with z starred steps (the whole sum is S_0 unless mark_z).
 
     The DP runs over the states (height, last step was a plain NE).
     """
     dz = 1 if mark_z else 0
-    states = {(0, False): {0: ONE}}
+    states = {(0, False): [ONE]}
     for pos in range(n):
         top = n - pos - 1  # a path must be able to close in the steps left
         new: dict = {}
@@ -226,13 +228,14 @@ def _core_path_counts(n: int, mark_z: bool) -> dict:
             for nh, flag, starred, dey, shift in moves:
                 if nh > top:
                     continue
-                target = new.setdefault((nh, flag), {})
+                target = new.setdefault((nh, flag), [])
                 dzs, sign = (dz, -1) if starred else (0, 1)
                 weight = LaurentPoly.monomial(sign, shift, dey)
-                for z, p in sums.items():
-                    target[z + dzs] = target.get(z + dzs, ZERO) + p * weight
+                target += [ZERO] * (len(sums) + dzs - len(target))
+                for z, p in enumerate(sums, dzs):
+                    target[z] = target[z] + p * weight
         states = new
-    return states.get((0, False), {})
+    return states[0, False]
 
 
 def signed_path_sum(n: int, restricted: bool) -> LaurentPoly:
@@ -241,7 +244,7 @@ def signed_path_sum(n: int, restricted: bool) -> LaurentPoly:
     if not 1 <= n <= SIGNED_PATH_CAP:
         raise ValueError(f"n must be in 1..{SIGNED_PATH_CAP}")
     if restricted:
-        return _core_path_counts(n, False).get(0, ZERO)
+        return sum(_core_path_counts(n, False), ZERO)
     return _labelled_path_sum(n)
 
 

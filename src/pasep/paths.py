@@ -13,9 +13,10 @@ Two weight schemes appear:
 * The labelled scheme: every step carries one of two labels, plain or
   starred, with weights y / -y*q^(h+1) for NE and E1 and 1 / -q^h for SE and
   E2.  The labelled sum over all paths of length n equals (1-q)^n times the
-  generating polynomial.  The "core" subset consists of labelled paths whose
-  east steps are all starred and whose peaks are not plain-plain; the signed
-  core sums have the closed form (-1)^k * sum_i y^i q^(i(k+1-i)).
+  generating polynomial.  The "core" subset, defined by
+  ``LabeledMotzkinPath.in_core_set``, consists of labelled paths whose east
+  steps are all starred and whose peaks are not plain-plain; the signed core
+  sums have the closed form (-1)^k * sum_i y^i q^(i(k+1-i)).
 
 ``decompose`` factors any labelled path into an unlabelled prefix (a left
 factor, recorded over the same four step kinds) and a core path, and
@@ -71,10 +72,6 @@ class LabeledMotzkinPath:
 
     def __len__(self):
         return len(self.steps)
-
-    def weight(self) -> LaurentPoly:
-        """The product of the per-step labelled weights, a signed monomial."""
-        return LaurentPoly.monomial(*self.signed_exponents())
 
     def signed_exponents(self) -> tuple[int, int, int]:
         """The weight as its (sign, e_q, e_y) triple."""
@@ -179,24 +176,20 @@ def _fill(state, core_steps):
 
 # -- enumeration ---------------------------------------------------------------
 
-# (restricted, can descend, last step a plain NE) -> the (step, rise) choices
-# for the next step, kinds in the order NE, SE, E1, E2, plain before starred.
+# can descend -> the (step, rise) choices for the next step, kinds in the
+# order NE, SE, E1, E2, plain before starred.
 _NEXT_STEPS = {
-    (restricted, descend, after_plain_ne): [
+    descend: [
         ((kind, starred), _RISE[kind])
         for kind in (NE, SE, E1, E2)
         for starred in (False, True)
-        if (descend or kind != SE)
-        and (starred or not restricted or kind == NE
-             or (kind == SE and not after_plain_ne))
+        if descend or kind != SE
     ]
-    for restricted in (False, True)
     for descend in (False, True)
-    for after_plain_ne in (False, True)
 }
 
 
-def _extend(prefixes, top: int, restricted: bool):
+def _extend(prefixes, top: int):
     """Each (steps, height, decompose state, weight state, recompose state)
     prefix extended by one step, in order, keeping the prefixes that end at
     height top or below.  recompose's rule takes the left-factor step that
@@ -204,8 +197,7 @@ def _extend(prefixes, top: int, restricted: bool):
     decompose_step, weight_step = _decompose_step, _weight_step
     recompose_step = _recompose_step
     for steps, h, split, weight, rebuild in prefixes:
-        after_plain_ne = restricted and steps[-1:] == (_PLAIN_NE,)
-        for step, rise in _NEXT_STEPS[restricted, h > 0, after_plain_ne]:
+        for step, rise in _NEXT_STEPS[h > 0]:
             if h + rise <= top:
                 following = decompose_step(split, step)
                 yield (steps + (step,), h + rise, following,
@@ -213,7 +205,7 @@ def _extend(prefixes, top: int, restricted: bool):
                        recompose_step(rebuild, following[0][-1]))
 
 
-def _walk(n: int, restricted: bool):
+def _walk(n: int):
     """The closed paths of length n, as _extend's items, in lexicographic
     order of their steps.
 
@@ -222,17 +214,18 @@ def _walk(n: int, restricted: bool):
     """
     level = iter([((), 0, _DECOMPOSE_START, _WEIGHT_START, _RECOMPOSE_START)])
     for pos in range(n):
-        level = _extend(level, n - pos - 1, restricted)
+        level = _extend(level, n - pos - 1)
     return level
 
 
-def iter_labelled_paths(n: int, restricted: bool = False):
-    """Yield every labelled closed path of length n (core subset if restricted).
+def iter_labelled_paths(n: int):
+    """Yield every labelled closed path of length n; the core subset is the
+    paths whose in_core_set() holds.
 
     Paths come in lexicographic order of their steps, kinds ordered NE, SE,
     E1, E2 and plain before starred.
     """
-    for steps, _, _, _, _ in _walk(n, restricted):
+    for steps, _, _, _, _ in _walk(n):
         yield LabeledMotzkinPath(steps)
 
 
@@ -246,7 +239,7 @@ def iter_decomposed_paths(n: int):
     each rule is folded once per prefix, not once per path.
     """
     fill = _fill
-    for steps, _, (left, core, _), (sign, eq, ey, _), rebuild in _walk(n, False):
+    for steps, _, (left, core, _), (sign, eq, ey, _), rebuild in _walk(n):
         yield steps, left, core, (sign, eq, ey), fill(rebuild, core)
 
 
@@ -456,46 +449,23 @@ def left_factor_to_pair(steps: tuple[str, ...]) -> LatticePathPair:
 
 # -- functional equation check ---------------------------------------------------
 
-# Series coefficients in the extra marker z are kept as {z_exponent: LaurentPoly}.
+# A series in the extra marker z is the list of its coefficients, [S_0, S_1, ...].
 
 
-def _zs_add(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for k, v in b.items():
-        s = out.get(k, ZERO) + v
-        if s.is_zero:
-            out.pop(k, None)
-        else:
-            out[k] = s
+def _zs_mul(a: list, b: list) -> list:
+    out = [ZERO] * (len(a) + len(b) - 1)
+    for i, va in enumerate(a):
+        for j, vb in enumerate(b):
+            out[i + j] = out[i + j] + va * vb
     return out
 
 
-def _zs_mul(a: dict, b: dict) -> dict:
-    out: dict = {}
-    for ka, va in a.items():
-        for kb, vb in b.items():
-            k = ka + kb
-            s = out.get(k, ZERO) + va * vb
-            if s.is_zero:
-                out.pop(k, None)
-            else:
-                out[k] = s
+def _zs_sum(*series: list) -> list:
+    out = [ZERO] * max(map(len, series))
+    for s in series:
+        for k, v in enumerate(s):
+            out[k] = out[k] + v
     return out
-
-
-def _zs_qshift(a: dict) -> dict:
-    """Substitute z -> q*z."""
-    return {k: v * Q**k for k, v in a.items()}
-
-
-def _zs_eval_z1(a: dict) -> LaurentPoly:
-    return sum(a.values(), ZERO)
-
-
-def _core_zsum(n: int) -> dict:
-    """The core set of length n as {z_exponent: signed weight sum}, with z
-    marking starred steps."""
-    return kernels._core_path_counts(n, True)
 
 
 # Largest t_order check_functional_equation takes.
@@ -512,29 +482,26 @@ def check_functional_equation(t_order: int) -> list[str]:
     """
     if not 0 <= t_order <= FUNCTIONAL_EQUATION_CAP:
         raise ValueError(f"t_order must be in 0..{FUNCTIONAL_EQUATION_CAP}")
-    s = [_core_zsum(n) for n in range(t_order + 1)]
+    s = [kernels._core_path_counts(n, True) for n in range(t_order + 1)]
+    s_qz = [[v * Q**k for k, v in enumerate(c)] for c in s]  # S(qz)
     violations = []
 
-    lin = {1: Q * Y + ONE}  # q y z + z
-    sq1 = {0: ONE, 1: -2 * Q, 2: Q * Q}  # (1 - q z)^2
+    lin = [ZERO, Q * Y + ONE]  # q y z + z
+    sq1 = [ONE, -2 * Q, Q * Q]  # (1 - q z)^2
     for n in range(t_order + 1):
-        rhs: dict = {0: ONE} if n == 0 else {}
+        # [t^n] of the left-hand side minus the right-hand side
+        diff = [s[n], [-ONE] if n == 0 else []]
         if n >= 1:
-            rhs = _zs_add(rhs, {k: -v for k, v in _zs_mul(lin, s[n - 1]).items()})
+            diff.append(_zs_mul(lin, s[n - 1]))
         if n >= 2:
-            rhs = _zs_add(rhs, {k: v * (-1) * Y for k, v in s[n - 2].items()})
-            conv: dict = {}
-            for a in range(n - 1):
-                b = n - 2 - a
-                conv = _zs_add(conv, _zs_mul(s[a], _zs_qshift(s[b])))
-            prod = _zs_mul(sq1, conv)
-            rhs = _zs_add(rhs, {k: v * Y for k, v in prod.items()})
-        lhs = s[n]
-        if _zs_add(lhs, {k: -v for k, v in rhs.items()}):
+            diff.append([v * Y for v in s[n - 2]])
+            conv = _zs_sum(*(_zs_mul(s[a], s_qz[n - 2 - a]) for a in range(n - 1)))
+            diff.append([-v * Y for v in _zs_mul(sq1, conv)])
+        if not all(v.is_zero for v in _zs_sum(*diff)):
             violations.append(f"functional equation fails at [t^{n}]")
 
     for k in range(t_order + 1):
-        got = _zs_eval_z1(s[k]) * ((-1) ** k)
+        got = sum(s[k], ZERO) * ((-1) ** k)
         if got != core_closed_form(k):
             violations.append(f"[t^{k}] at z=1 differs from the closed form")
 

@@ -383,6 +383,31 @@ def test_crosscheck_pretty_lists_sizes(capsys):
     assert lines[-1] == "33/33 checks passed (n_max=3)"
 
 
+@pytest.mark.parametrize(
+    "cmd",
+    [
+        ["eval", "--method", "theorem1", "-n", "4"],
+        ["crosscheck", "--n-max", "1", "--format", "csv"],
+        ["table", "1..3"],
+    ],
+)
+def test_closed_stdout_exits_quietly(cmd):
+    """A reader that has gone before the first write, as after `| head`,
+    gives the closed-pipe status and no traceback, not an identity failure."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "pasep.cli"] + cmd,
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+        )
+    finally:
+        os.close(write_end)
+    assert done.returncode == cli.EXIT_PIPE_CLOSED == 141
+    assert done.stderr == b""
+
+
 def test_stdout_byte_deterministic_across_processes():
     cmds = [
         ["eval", "--method", "theorem1", "-n", "6", "--format", "json"],
@@ -437,8 +462,6 @@ def _class_members(module):
 
 # Class members kept although no CLI run calls them, each with its reason.
 UNREACHED_MEMBERS = {
-    ("pasep.paths.LabeledMotzkinPath", "weight"):
-        "the per-path labelled weight, the definition the path tests hold the DP sums to",
     ("pasep.paths.LabeledMotzkinPath", "serialize"):
         "names the failing path in a round-trip violation, so a passing run never calls it",
     ("pasep.laurent.LaurentPoly", "__len__"):

@@ -6,7 +6,7 @@ import pytest
 
 import pasep
 from pasep import cli, kernels, paths, permstats
-from pasep.laurent import ZERO
+from pasep.laurent import ZERO, LaurentPoly
 
 
 def test_backend_constant():
@@ -16,26 +16,27 @@ def test_backend_constant():
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_labelled_and_core_sums_match_paths(n):
-    for restricted, bulk in (
-        (False, paths.labelled_path_sum(n)),
-        (True, paths.core_signed_sum(n)),
-    ):
-        total = ZERO
-        for p in paths.iter_labelled_paths(n, restricted):
-            total = total + p.weight()
-        assert total == bulk, (n, restricted)
+    labelled = core = ZERO
+    for p in paths.iter_labelled_paths(n):
+        weight = LaurentPoly.monomial(*p.signed_exponents())
+        labelled = labelled + weight
+        if p.in_core_set():
+            core = core + weight
+    assert labelled == paths.labelled_path_sum(n)
+    assert core == paths.core_signed_sum(n)
 
 
 @pytest.mark.parametrize("n", range(0, 7))
 def test_core_z_series_matches_paths(n):
     want: dict = {}
-    for p in paths.iter_labelled_paths(n, restricted=True):
-        z = sum(1 for _, starred in p.steps if starred)
-        ((eq, ey, c),) = p.weight().terms()
-        want[(z, eq, ey)] = want.get((z, eq, ey), 0) + c
+    for p in paths.iter_labelled_paths(n):
+        if p.in_core_set():
+            z = sum(1 for _, starred in p.steps if starred)
+            sign, eq, ey = p.signed_exponents()
+            want[(z, eq, ey)] = want.get((z, eq, ey), 0) + sign
     got = {
         (z, eq, ey): c
-        for z, poly in paths._core_zsum(n).items()
+        for z, poly in enumerate(kernels._core_path_counts(n, True))
         for eq, ey, c in poly.terms()
     }
     assert got == {k: c for k, c in want.items() if c}

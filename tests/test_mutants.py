@@ -110,6 +110,20 @@ def test_starred_up_step_shifted_by_h(mutate):
     assert _failing() == {"check_kernel_definitions"}
 
 
+def test_core_set_admits_plain_e2(mutate):
+    # The core-set predicate lets a plain E2 through.  The round trip
+    # validates cores with this predicate, and a core never holds a plain
+    # east step, so it still passes; the core table against the paths the
+    # predicate keeps does not.
+    mutate(
+        paths.LabeledMotzkinPath,
+        "in_core_set",
+        "elif kind != SE or prev_plain_ne:  # a plain east step or peak",
+        "elif kind not in (SE, E2) or prev_plain_ne:",
+    )
+    assert _failing() == {"check_kernel_definitions"}
+
+
 def test_classical_tail_off_by_one(mutate):
     # Each value placed counts one occurrence too many, so at n = 5 every
     # permutation exceeds k = 3.  The tail bound is an inequality that an
