@@ -108,6 +108,11 @@ def scalar_products_upto(m: tuple, k_max: int) -> list[LaurentPoly]:
     return out
 
 
+def partition_polynomial_via_matrix(n: int) -> LaurentPoly:
+    """The partition polynomial of size n, y <W|(yD+E)^(n-1)|V>."""
+    return Y * scalar_product(yd_plus_e(n + 2), n - 1)
+
+
 def _leading_power_rows(m: tuple, k_max: int, count: int) -> list:
     """Rows 0..count-1 of m^k for k = 0..k_max.  Row i of m^k is row i of
     m^(k-1) times m, so the other rows are never needed."""
@@ -217,6 +222,7 @@ __all__ = [
     "boundary_vectors",
     "scalar_product",
     "scalar_products_upto",
+    "partition_polynomial_via_matrix",
     "verify_ansatz",
     "verify_hat_relations",
     "verify_inversion",

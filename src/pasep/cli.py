@@ -14,6 +14,7 @@ for a fixed command line; progress/timing goes to stderr.
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import os
 import re
@@ -22,7 +23,7 @@ import time
 from fractions import Fraction
 
 from . import kernels
-from .laurent import ONE, Q, Y, ZERO, LaurentPoly
+from .laurent import LaurentPoly
 
 # Per-method size caps: exhaustive methods refuse rather than hang.
 METHOD_CAPS = {
@@ -41,64 +42,35 @@ CROSSCHECK_CAP = 9
 # Exit status when the reader closes stdout early, as in `pasep ... | head`.
 EXIT_PIPE_CLOSED = 141
 
-# Each method imports the modules of its own route when it runs, so a
-# process loads only the route it evaluates.
+# The q-degree of Z_n(1, q) is (n-1)^2 // 4, so above this every column of
+# `table` is zero at every size it accepts.
+TABLE_COEFF_CAP = (METHOD_CAPS["theorem1"] - 1) ** 2 // 4
 
 
-def _method_matrix(n: int) -> LaurentPoly:
-    from . import ansatz
+def _route(module: str, name: str, *args):
+    """The route pasep.<module>.<name>(n, *args), as a function of n.
 
-    return Y * ansatz.scalar_product(ansatz.yd_plus_e(n + 2), n - 1)
+    The module is imported when the route is first called, so a process
+    loads only the route it evaluates, and the function is looked up on
+    every call.
+    """
 
+    def route(n: int) -> LaurentPoly:
+        return getattr(importlib.import_module(f"pasep.{module}"), name)(n, *args)
 
-def _method_motzkin(n: int) -> LaurentPoly:
-    from . import paths
-
-    return paths.motzkin_polynomial(n)
-
-
-def _method_signed_paths(n: int) -> LaurentPoly:
-    from . import paths
-
-    return paths.labelled_path_sum(n).exact_div((ONE - Q) ** n)
+    return route
 
 
-def _method_rooks(n: int) -> LaurentPoly:
-    from . import rooks
-
-    return rooks.partition_polynomial_via_rooks(n)
-
-
-def _method_theorem1(n: int) -> LaurentPoly:
-    from . import closedforms
-
-    return closedforms.partition_polynomial(n)
-
-
-def _method_williams(n: int) -> LaurentPoly:
-    from . import closedforms
-
-    total = ZERO
-    for m in range(1, n + 1):
-        total = total + LaurentPoly.monomial(1, 0, m) * closedforms.y_coefficient_formula(m, n)
-    return total
-
-
-def _method_permutations(n: int, statistic: str) -> LaurentPoly:
-    from . import permstats
-
-    return permstats.gen_polynomial(n, statistic)
-
-
+# Each method's route: the one function that computes it.
 METHODS = {
-    "matrix": _method_matrix,
-    "motzkin": _method_motzkin,
-    "signed-paths": _method_signed_paths,
-    "rooks": _method_rooks,
-    "theorem1": _method_theorem1,
-    "williams": _method_williams,
-    "permutations-ascent": lambda n: _method_permutations(n, "ascent_pattern"),
-    "permutations-crossing": lambda n: _method_permutations(n, "wex_crossing"),
+    "matrix": _route("ansatz", "partition_polynomial_via_matrix"),
+    "motzkin": _route("paths", "motzkin_polynomial"),
+    "signed-paths": _route("paths", "partition_polynomial_via_signed_paths"),
+    "rooks": _route("rooks", "partition_polynomial_via_rooks"),
+    "theorem1": _route("closedforms", "partition_polynomial"),
+    "williams": _route("closedforms", "partition_polynomial_via_williams"),
+    "permutations-ascent": _route("permstats", "gen_polynomial", "ascent_pattern"),
+    "permutations-crossing": _route("permstats", "gen_polynomial", "wex_crossing"),
 }
 
 
@@ -152,7 +124,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_tab = sub.add_parser("table", help="coefficient table over a size range")
     p_tab.add_argument("range", type=_parse_range, help="sizes, e.g. 1..8")
     p_tab.add_argument("--coeff", type=_parse_coeff, default=(0, 3),
-                       help="q-coefficient column(s), e.g. q1 or q0..q3")
+                       help=f"q-coefficient column(s), e.g. q1 or q0..q3 "
+                       f"(cap q{TABLE_COEFF_CAP})")
     p_tab.add_argument("--format", choices=("json", "csv", "pretty"), default="csv")
 
     return parser
@@ -239,6 +212,9 @@ def cmd_table(n_range: tuple[int, int], coeff: tuple[int, int], fmt: str) -> int
         print(f"error: table is capped at n <= {METHOD_CAPS['theorem1']}", file=sys.stderr)
         return 3
     clo, chi = coeff
+    if chi > TABLE_COEFF_CAP:
+        print(f"error: table is capped at q^{TABLE_COEFF_CAP}", file=sys.stderr)
+        return 3
     names = [f"q{m}" for m in range(clo, chi + 1)]
     sizes = list(range(lo, hi + 1))
 

@@ -110,6 +110,15 @@ def y_coefficient_formula(m: int, n: int) -> LaurentPoly:
     return total
 
 
+def partition_polynomial_via_williams(n: int) -> LaurentPoly:
+    """The partition polynomial of size n, summed over y^m from its
+    coefficient formulas."""
+    total = ZERO
+    for m in range(1, n + 1):
+        total = total + LaurentPoly.monomial(1, 0, m) * y_coefficient_formula(m, n)
+    return total
+
+
 @lru_cache(maxsize=None)
 def matching_closed_form(n: int) -> LaurentPoly:
     """Crossing polynomial of perfect matchings of 2n points:
@@ -226,6 +235,7 @@ __all__ = [
     "partition_polynomial",
     "partition_polynomial_y1",
     "y_coefficient_formula",
+    "partition_polynomial_via_williams",
     "matching_closed_form",
     "low_order_coefficients",
     "q10_coefficient",

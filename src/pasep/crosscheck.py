@@ -18,7 +18,7 @@ import traceback
 from dataclasses import dataclass
 from itertools import accumulate, product, repeat
 
-from .laurent import ONE, Q, Y, ZERO, LaurentPoly
+from .laurent import ZERO, LaurentPoly
 from . import ansatz, closedforms, kernels, paths, permstats, rooks
 
 
@@ -114,8 +114,9 @@ def _differ(ns, left, right):
 
 @_check("matrix vs theorem1", _upto())
 def check_matrix_vs_theorem1(ns):
-    sp = ansatz.scalar_products_upto(ansatz.yd_plus_e(ns[-1] + 2), ns[-1])
-    yield from _differ(ns, lambda n: Y * sp[n - 1], closedforms.partition_polynomial)
+    yield from _differ(
+        ns, ansatz.partition_polynomial_via_matrix, closedforms.partition_polynomial
+    )
 
 
 @_check("motzkin vs theorem1", _upto())
@@ -144,9 +145,7 @@ def check_permutations_crossing_vs_theorem1(ns):
 @_check("signed-paths extraction", _upto(9))
 def check_signed_paths_extraction(ns):
     yield from _differ(
-        ns,
-        paths.labelled_path_sum,
-        lambda n: (ONE - Q) ** n * paths.motzkin_polynomial(n),
+        ns, paths.partition_polynomial_via_signed_paths, closedforms.partition_polynomial
     )
 
 
@@ -353,12 +352,9 @@ def check_rook_route_vs_theorem1(ns):
 
 @_check("williams vs theorem1", _upto())
 def check_williams_vs_theorem1(ns):
-    for n in ns:
-        p = closedforms.partition_polynomial(n)
-        for m in range(1, n + 1):
-            formula, coeff = closedforms.y_coefficient_formula(m, n), p.coeff_y(m)
-            if formula != coeff:
-                yield f"(m,n)=({m},{n}): {_first_term(formula, coeff)}"
+    yield from _differ(
+        ns, closedforms.partition_polynomial_via_williams, closedforms.partition_polynomial
+    )
 
 
 @_check("matching closed form vs enumeration", _upto(6))

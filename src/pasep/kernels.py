@@ -1,13 +1,14 @@
 """Enumeration kernels: the bulk tables behind the exhaustive routes.
 
 ``BACKEND`` names the one backend, and every kernel after it in ``__all__``
-returns plain nested lists of ints; the library reads the signed-path sums
-as polynomials, from ``signed_path_sum``.  The labelled-path and left-factor
-tables are transfer DPs over path heights, polynomial in n; the ascent table
-is a DP over the 2^n sets of used values.  The crossing statistics stay
-brute force over every permutation or matching, each one counted from its
-definition: computing them through open-arc counts would run the bijection
-they are the oracle for.
+returns plain lists of ints, nested but for ``matching_crossing_hist``'s flat
+histogram; the library reads the signed-path sums as polynomials, from
+``signed_path_sum``.  The labelled-path and left-factor tables are transfer
+DPs over path heights, polynomial in n; the ascent table is a DP over the
+2^n sets of used values.  The crossing statistics stay brute force over
+every permutation or matching, each one counted from its definition:
+computing them through open-arc counts would run the bijection they are the
+oracle for.
 """
 
 from __future__ import annotations

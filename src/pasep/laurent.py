@@ -102,11 +102,6 @@ class LaurentPoly:
         lo, row = self._rows.get(e_y, (0, ()))
         return row[e_q - lo] if 0 <= e_q - lo < len(row) else 0
 
-    def coeff_y(self, e_y: int) -> "LaurentPoly":
-        """The coefficient of y**e_y, as a polynomial in q."""
-        row = self._rows.get(e_y)
-        return LaurentPoly._raw({0: row} if row else {})
-
     def y_support(self):
         return sorted(self._rows)
 
@@ -158,20 +153,6 @@ class LaurentPoly:
         a, b = self._rows, other._rows
         if len(a) < len(b):
             a, b = b, a
-        if len(b) == 1:
-            if len(a) == 1 and len(next(iter(a.values()))[1]) == 1:
-                a, b = b, a  # the monomial may be either factor
-            (yb, (lb, rb)), = b.items()
-            if len(rb) == 1:  # a monomial factor shifts the rows
-                c = rb[0]
-                return LaurentPoly._raw(
-                    {
-                        ya + yb: (la + lb, ra if c == 1 else list(map(mul, ra, repeat(c))))
-                        for ya, (la, ra) in a.items()
-                    }
-                )
-        elif not b:
-            return ZERO
         return LaurentPoly._raw(_row_product(a, b))
 
     __rmul__ = __mul__

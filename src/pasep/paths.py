@@ -286,6 +286,11 @@ def labelled_path_sum(n: int) -> LaurentPoly:
     return kernels.signed_path_sum(n, False)
 
 
+def partition_polynomial_via_signed_paths(n: int) -> LaurentPoly:
+    """The partition polynomial of size n, the labelled sum divided by (1-q)^n."""
+    return labelled_path_sum(n).exact_div((ONE - Q) ** n)
+
+
 @lru_cache(maxsize=None)
 def core_signed_sum(k: int) -> LaurentPoly:
     """Signed weight sum over the core subset of length k <= kernels.SIGNED_PATH_CAP."""
@@ -521,6 +526,7 @@ __all__ = [
     "motzkin_polynomial",
     "motzkin_polynomials_upto",
     "labelled_path_sum",
+    "partition_polynomial_via_signed_paths",
     "core_signed_sum",
     "core_closed_form",
     "decompose",

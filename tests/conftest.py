@@ -4,6 +4,13 @@ import sys
 
 import pytest
 
+from pasep.laurent import LaurentPoly
+
+
+def coeff_y(p, e_y):
+    """The coefficient of y**e_y in p, as a polynomial in q."""
+    return LaurentPoly({(e_q, 0): c for e_q, e, c in p.terms() if e == e_y})
+
 
 @pytest.fixture
 def fresh_caches():

@@ -249,6 +249,19 @@ def test_table_q10_matches_closed_form(capsys):
     assert got == [closedforms.q10_coefficient(n) for n in range(8, 13)]
 
 
+def test_table_coeff_cap(capsys):
+    """Columns run to q^992, the q-degree of Z_64(1, q), the largest size
+    table accepts; a wider selector is refused before any output."""
+    assert cli.TABLE_COEFF_CAP == 992
+    assert run_cli(["table", "64", "--coeff", "q0..q992"]) == 0
+    header, row = capsys.readouterr().out.splitlines()
+    assert header.endswith(",q991,q992") and row.endswith(",128,2")
+    assert run_cli(["table", "1..2", "--coeff", "q0..q993"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "capped at q^992" in captured.err
+
+
 def test_crosscheck_small_passes(capsys):
     assert run_cli(["crosscheck", "--n-max", "3", "--format", "json"]) == 0
     obj = json.loads(capsys.readouterr().out)
@@ -276,7 +289,10 @@ def test_crosscheck_names_injected_failure(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert rc == 1
     assert "first failing identity: williams vs theorem1" in captured.err
-    assert "FAIL williams vs theorem1 (sizes 1..4) [(m,n)=(1,3): q^0 y^0: 3 vs 1; " in captured.out
+    assert (
+        "FAIL williams vs theorem1 (sizes 1..4) [n=3: q^0 y^1: 3 vs 1; n=4: q^0 y^1: 6 vs 1]\n"
+        in captured.out
+    )
 
 
 def test_crosscheck_reports_a_raising_route(capsys, monkeypatch):

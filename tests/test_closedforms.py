@@ -2,6 +2,7 @@
 
 import pytest
 
+from conftest import coeff_y
 from pasep import ansatz, closedforms as cf, paths
 from pasep.laurent import ONE, Q, Y, LaurentPoly
 from pasep.qcombinat import binomial, catalan
@@ -65,7 +66,7 @@ def test_y_coefficient_formula():
     for n in range(1, 10):
         p = cf.partition_polynomial(n)
         for m in range(1, n + 1):
-            assert cf.y_coefficient_formula(m, n) == p.coeff_y(m), (m, n)
+            assert cf.y_coefficient_formula(m, n) == coeff_y(p, m), (m, n)
 
 
 def test_matching_closed_form():

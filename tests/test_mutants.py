@@ -161,17 +161,47 @@ def test_lattice_pairs_one_apart_count_as_meeting(mutate):
 
 def test_motzkin_up_step_shifted_in_q(mutate):
     # NE and E1 at height h weigh y [h+2]_q instead of y [h+1]_q in the
-    # transfer: the two checks that read the Motzkin route catch it.
+    # transfer: the one check that reads the Motzkin route catches it.
     mutate(
         paths,
         "motzkin_polynomials_upto",
         "up = p * (Y * q_int(h + 1))  # weight y*[h+1]_q: NE and E1",
         "up = p * (Y * q_int(h + 2))",
     )
-    assert _failing() == {
-        "check_motzkin_vs_theorem1",
-        "check_signed_paths_extraction",
-    }
+    assert _failing() == {"check_motzkin_vs_theorem1"}
+
+
+def test_matrix_route_drops_y(mutate):
+    # <W|(yD+E)^(n-1)|V> without its factor y: every y-degree is one short.
+    mutate(
+        ansatz,
+        "partition_polynomial_via_matrix",
+        "return Y * scalar_product(yd_plus_e(n + 2), n - 1)",
+        "return scalar_product(yd_plus_e(n + 2), n - 1)",
+    )
+    assert _failing() == {"check_matrix_vs_theorem1"}
+
+
+def test_signed_paths_route_divides_one_short(mutate):
+    # The labelled sum is divided by (1-q)^(n-1), leaving a factor 1-q.
+    mutate(
+        paths,
+        "partition_polynomial_via_signed_paths",
+        "return labelled_path_sum(n).exact_div((ONE - Q) ** n)",
+        "return labelled_path_sum(n).exact_div((ONE - Q) ** (n - 1))",
+    )
+    assert _failing() == {"check_signed_paths_extraction"}
+
+
+def test_williams_route_stops_before_y_to_the_n(mutate):
+    # The sum over y^m leaves out m = n, the y^n coefficient.
+    mutate(
+        closedforms,
+        "partition_polynomial_via_williams",
+        "for m in range(1, n + 1):",
+        "for m in range(1, n):",
+    )
+    assert _failing() == {"check_williams_vs_theorem1"}
 
 
 def test_core_closed_form_exponent(mutate):
@@ -204,6 +234,7 @@ def test_theorem1_strided_slice_starts_one_late(mutate):
         "check_motzkin_vs_theorem1",
         "check_permutations_ascent_vs_theorem1",
         "check_permutations_crossing_vs_theorem1",
+        "check_signed_paths_extraction",
         "check_rook_route_vs_theorem1",
         "check_williams_vs_theorem1",
         "check_narayana",
