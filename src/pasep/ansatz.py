@@ -110,6 +110,8 @@ def scalar_products_upto(m: tuple, k_max: int) -> list[LaurentPoly]:
 
 def partition_polynomial_via_matrix(n: int) -> LaurentPoly:
     """The partition polynomial of size n, y <W|(yD+E)^(n-1)|V>."""
+    if n < 1:
+        raise ValueError("n >= 1 required")
     return Y * scalar_product(yd_plus_e(n + 2), n - 1)
 
 

@@ -113,6 +113,8 @@ def y_coefficient_formula(m: int, n: int) -> LaurentPoly:
 def partition_polynomial_via_williams(n: int) -> LaurentPoly:
     """The partition polynomial of size n, summed over y^m from its
     coefficient formulas."""
+    if n < 1:
+        raise ValueError("n >= 1 required")
     total = ZERO
     for m in range(1, n + 1):
         total = total + LaurentPoly.monomial(1, 0, m) * y_coefficient_formula(m, n)
@@ -127,11 +129,14 @@ def matching_closed_form(n: int) -> LaurentPoly:
     """
     if n < 1:
         raise ValueError("n >= 1 required")
-    num = ZERO
-    for k in range(n + 1):
-        c = binomial(2 * n, n - k) - binomial(2 * n, n - k - 1)
-        mono = LaurentPoly.monomial(c, k * (k + 1) // 2, 0)
-        num = num + (mono if k % 2 == 0 else -mono)
+    # The exponents k(k+1)/2 are distinct, so no two terms share a key.
+    num = LaurentPoly(
+        {
+            (k * (k + 1) // 2, 0): (-1) ** k
+            * (binomial(2 * n, n - k) - binomial(2 * n, n - k - 1))
+            for k in range(n + 1)
+        }
+    )
     return num.exact_div((ONE - Q) ** n)
 
 

@@ -15,6 +15,7 @@ import functools
 import os
 import sys
 import traceback
+from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate, product, repeat
 
@@ -154,11 +155,10 @@ def check_decomposition_sum(ns):
     def total(n):
         out = ZERO
         for k in range(n + 1):
-            core = paths.core_signed_sum(k)
-            for j in range(n - k + 1):
-                c = paths.left_factor_count(n, k, j)
-                if c:
-                    out = out + LaurentPoly.monomial(c, 0, j) * core
+            left = LaurentPoly(
+                {(0, j): paths.left_factor_count(n, k, j) for j in range(n - k + 1)}
+            )
+            out = out + left * paths.core_signed_sum(k)
         return out
 
     yield from _differ(ns, total, paths.labelled_path_sum)
@@ -452,16 +452,13 @@ def check_pattern_tail_bound(ns):
 def check_kernel_definitions(ns):
     """Bulk kernel tables agree with the per-object reference statistics."""
     (n,) = ns
-    terms_ap: dict = {}
-    terms_wc: dict = {}
-    hist_cl: dict = {}
+    terms_ap = Counter()  # (e_q, e_y) -> permutations
+    terms_wc = Counter()
+    hist_cl = Counter()
     for w in permstats.iter_permutations(n):
-        k = (permstats.pattern_13_2(w), 1 + permstats.ascents(w))
-        terms_ap[k] = terms_ap.get(k, 0) + 1
-        k = (permstats.crossings(w), permstats.weak_exceedances(w))
-        terms_wc[k] = terms_wc.get(k, 0) + 1
-        c = permstats.classical_132_count(w)
-        hist_cl[c] = hist_cl.get(c, 0) + 1
+        terms_ap[permstats.pattern_13_2(w), 1 + permstats.ascents(w)] += 1
+        terms_wc[permstats.crossings(w), permstats.weak_exceedances(w)] += 1
+        hist_cl[permstats.classical_132_count(w)] += 1
     if LaurentPoly(terms_ap) != permstats.gen_polynomial(n, "ascent_pattern"):
         yield "ascent/pattern table differs from definitions"
     if LaurentPoly(terms_wc) != permstats.gen_polynomial(n, "wex_crossing"):
@@ -470,32 +467,31 @@ def check_kernel_definitions(ns):
     if {c: v for c, v in enumerate(bulk) if v} != hist_cl:
         yield "classical-pattern histogram differs from definitions"
     tail = permstats.classical_tail(n, 3)
-    want = tuple(hist_cl.get(c, 0) for c in range(4))
+    want = tuple(hist_cl[c] for c in range(4))
     if tail != want:
         yield f"classical tail {tail} differs from definitions {want}"
-    hist: dict = {}
-    for pairs in permstats.iter_matchings(n):
-        c = permstats.matching_crossings(pairs)
-        hist[(c, 0)] = hist.get((c, 0), 0) + 1
+    hist = Counter(
+        (permstats.matching_crossings(pairs), 0) for pairs in permstats.iter_matchings(n)
+    )
     if LaurentPoly(hist) != permstats.matching_crossing_polynomial(n):
         yield "matching table differs from definitions"
     for size in range(1, n + 1):
-        labelled = kernels.signed_path_table(size, False)
-        core = kernels.signed_path_table(size, True)
+        labelled = Counter()  # (e_q, e_y) -> signed paths
+        core = Counter()
         for p in paths.iter_labelled_paths(size):
             sign, e_q, e_y = p.signed_exponents()
-            labelled[e_y][e_q] -= sign
+            labelled[e_q, e_y] += sign
             if p.in_core_set():
-                core[e_y][e_q] -= sign
-        for kind, table in (("labelled", labelled), ("core", core)):
-            if any(map(any, table)):
+                core[e_q, e_y] += sign
+        for kind, tally, restricted in (("labelled", labelled, False), ("core", core, True)):
+            table = kernels.signed_path_table(size, restricted)
+            kernel = LaurentPoly.from_rows({e_y: (0, row) for e_y, row in enumerate(table)})
+            if LaurentPoly(tally) != kernel:
                 yield f"{kind} path sum differs from definitions at n={size}"
     for size in range(n + 1):
-        counts: dict = {}
-        for _, k, j in paths.iter_left_factors(size):
-            counts[(k, j)] = counts.get((k, j), 0) + 1
+        counts = Counter((k, j) for _, k, j in paths.iter_left_factors(size))
         if any(
-            paths.left_factor_count(size, k, j) != counts.get((k, j), 0)
+            paths.left_factor_count(size, k, j) != counts[k, j]
             for k in range(size + 1)
             for j in range(size + 1)
         ):

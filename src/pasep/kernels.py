@@ -2,10 +2,11 @@
 
 ``BACKEND`` names the one backend, and every kernel after it in ``__all__``
 returns plain lists of ints, nested but for ``matching_crossing_hist``'s flat
-histogram; the library reads the signed-path sums as polynomials, from
-``signed_path_sum``.  The labelled-path and left-factor tables are transfer
-DPs over path heights, polynomial in n; the ascent table is a DP over the
-2^n sets of used values.  The crossing statistics stay brute force over
+histogram, built afresh on each call so that a caller may keep them; the
+library reads the signed-path sums as polynomials, from ``signed_path_sum``.
+The labelled-path and left-factor tables are transfer DPs over path
+heights, polynomial in n; the ascent table is a DP over the 2^n sets of
+used values.  The crossing statistics stay brute force over
 every permutation or matching, each one counted from its definition:
 computing them through open-arc counts would run the bijection they are the
 oracle for.

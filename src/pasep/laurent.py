@@ -288,10 +288,7 @@ class LaurentPoly:
                 parts.append(f"({qpart})*{ypart}")
             else:
                 parts.append(f"{qpart}*{ypart}")
-        out = parts[0]
-        for p in parts[1:]:
-            out += " - " + p[1:] if p.startswith("-") else " + " + p
-        return out
+        return _signed_join(parts)
 
     def __repr__(self):
         return f"LaurentPoly({self.pretty()})"
@@ -320,6 +317,11 @@ def _q_poly_str(lo: int, row: list) -> str:
         else:
             s = f"{c}*{qp}"
         parts.append(s)
+    return _signed_join(parts)
+
+
+def _signed_join(parts: list) -> str:
+    """The parts joined by " + ", or by " - " before a part that starts with "-"."""
     out = parts[0]
     for p in parts[1:]:
         out += " - " + p[1:] if p.startswith("-") else " + " + p

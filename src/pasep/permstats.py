@@ -89,36 +89,18 @@ def gen_polynomial(n: int, stat_pair: str) -> LaurentPoly:
     kernels.PERMUTATION_CAP.
     """
     if stat_pair == "ascent_pattern":
-        table = kernels.ascent_pattern_counts(n)
-        terms = {
-            (p, a + 1): c
-            for a, row in enumerate(table)
-            for p, c in enumerate(row)
-            if c
-        }
+        rows = enumerate(kernels.ascent_pattern_counts(n), 1)
     elif stat_pair == "wex_crossing":
-        table = kernels.wex_crossing_counts(n)
-        terms = {
-            (cr, e): c
-            for e, row in enumerate(table)
-            for cr, c in enumerate(row)
-            if c
-        }
+        rows = enumerate(kernels.wex_crossing_counts(n))
     else:
         raise ValueError(f"unknown statistic pair {stat_pair!r}")
-    return LaurentPoly(terms)
+    return LaurentPoly.from_rows({e_y: (0, row) for e_y, row in rows})
 
 
 @lru_cache(maxsize=None)
 def classical_hist(n: int) -> tuple[int, ...]:
     """hist[c] = #permutations of n with c classical 1-3-2 occurrences."""
-    joint = kernels.vincular_classical_joint(n)
-    cmax = max(len(row) for row in joint)
-    hist = [0] * cmax
-    for row in joint:
-        for c, v in enumerate(row):
-            hist[c] += v
-    return tuple(hist)
+    return tuple(map(sum, zip(*kernels.vincular_classical_joint(n))))
 
 
 @lru_cache(maxsize=None)
@@ -173,8 +155,7 @@ def vincular_bounded_by_classical(n: int) -> bool:
 @lru_cache(maxsize=None)
 def matching_crossing_polynomial(n: int) -> LaurentPoly:
     """sum over perfect matchings of {1..2n} of q^crossings."""
-    hist = kernels.matching_crossing_hist(n)
-    return LaurentPoly({(c, 0): v for c, v in enumerate(hist) if v})
+    return LaurentPoly.from_rows({0: (0, kernels.matching_crossing_hist(n))})
 
 
 def iter_matchings(n: int):

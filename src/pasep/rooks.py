@@ -27,6 +27,7 @@ carries the y^k factor that the bare alternating sum omits).
 
 from __future__ import annotations
 
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import product
@@ -148,32 +149,28 @@ def iter_all_placements(n: int):
 
 
 @lru_cache(maxsize=None)
-def _placement_profile(n: int) -> tuple[tuple[int, int, int, int, int], ...]:
-    """Multiset of (r, s, t, rookless_columns, count) over all placements."""
+def _placement_profile(n: int) -> dict[tuple[int, int], LaurentPoly]:
+    """{(r, t): sum of q^s} over the placements with r rooks and t columns,
+    s being the crosses: T(t-r, t, n) without its weight p^r y^t, since each
+    rook takes a column of its own."""
     if not 0 <= n <= ROOK_CAP:
         raise ValueError(f"exhaustive rook enumeration supports n <= {ROOK_CAP}")
-    acc: dict[tuple[int, int, int, int], int] = {}
+    tally = defaultdict(Counter)
     for pl in iter_all_placements(n):
         r, s, t = pl.statistics()
-        jj = t - len({h for _, h in pl.rooks})
-        key = (r, s, t, jj)
-        acc[key] = acc.get(key, 0) + 1
-    return tuple((r, s, t, jj, c) for (r, s, t, jj), c in sorted(acc.items()))
-
-
-def _profile_sum(profile) -> LaurentPoly:
-    out = ZERO
-    pr: dict[int, LaurentPoly] = {}
-    for r, s, t, _, c in profile:
-        if r not in pr:
-            pr[r] = P_WEIGHT**r
-        out = out + pr[r] * LaurentPoly.monomial(c, s, t)
-    return out
+        tally[r, t][s, 0] += 1
+    return {key: LaurentPoly(counts) for key, counts in tally.items()}
 
 
 def rook_sum(n: int) -> LaurentPoly:
     """Sum of w(R) over all rook placements of half-perimeter n."""
-    return _profile_sum(_placement_profile(n))
+    return sum(
+        (
+            P_WEIGHT**r * LaurentPoly.monomial(1, 0, t) * entry
+            for (r, t), entry in _placement_profile(n).items()
+        ),
+        ZERO,
+    )
 
 
 def hat_scalar_product(n: int) -> LaurentPoly:
@@ -183,7 +180,10 @@ def hat_scalar_product(n: int) -> LaurentPoly:
 
 def column_weight_sum(j: int, k: int, n: int) -> LaurentPoly:
     """T(j,k,n): weights of placements with k columns, j of them rookless."""
-    return _profile_sum(row for row in _placement_profile(n) if row[2:4] == (k, j))
+    entry = _placement_profile(n).get((k - j, k))
+    if entry is None:
+        return ZERO
+    return P_WEIGHT ** (k - j) * LaurentPoly.monomial(1, 0, k) * entry
 
 
 def factorized_column_weight_sum(j: int, k: int, n: int) -> LaurentPoly:
@@ -280,7 +280,6 @@ _CANDIDATES: tuple[tuple[str, object], ...] = (
 class ReconcileReport:
     """Which normalizations c_n make c_n*<W|(yD^+E^)^n|V> = (1+y)G(n)-G(n+1)."""
 
-    n_max: int
     passing: list[str]
     failures: dict[str, int]  # candidate -> first n where it fails
 
@@ -310,7 +309,7 @@ def reconcile_boundary_identity(n_max: int) -> ReconcileReport:
                 break
         if ok:
             passing.append(name)
-    return ReconcileReport(n_max, passing, failures)
+    return ReconcileReport(passing, failures)
 
 
 def partition_polynomial_via_rooks(n: int) -> LaurentPoly:

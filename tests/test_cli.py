@@ -67,6 +67,13 @@ def test_all_methods_agree_at_n4(capsys):
     assert len(outs) == 1
 
 
+@pytest.mark.parametrize("n", [0, -1])
+@pytest.mark.parametrize("method", sorted(cli.METHODS))
+def test_every_route_refuses_sizes_below_one(method, n):
+    with pytest.raises(ValueError):
+        cli.METHODS[method](n)
+
+
 def test_eval_rational_specialisation(capsys):
     assert run_cli(
         ["eval", "--method", "theorem1", "-n", "3", "--q", "1/2", "--format", "json"]

@@ -145,6 +145,34 @@ def test_classical_tail_ignores_pending(mutate):
     assert _failing() == {"check_pattern_tail_bound", "check_kernel_definitions"}
 
 
+def test_ascent_table_read_without_y_shift(mutate):
+    # Row a of the ascent table is read as y^a, not y^(1+a): the ascent
+    # route loses one power of y, against theorem1 and the per-permutation
+    # definitions alike.
+    mutate(
+        permstats,
+        "gen_polynomial",
+        "rows = enumerate(kernels.ascent_pattern_counts(n), 1)",
+        "rows = enumerate(kernels.ascent_pattern_counts(n))",
+    )
+    assert _failing() == {
+        "check_kernel_definitions",
+        "check_permutations_ascent_vs_theorem1",
+    }
+
+
+def test_classical_hist_sums_rows(mutate):
+    # The joint table's rows are summed, giving the vincular histogram in
+    # place of the classical one.  Only the definitions read it.
+    mutate(
+        permstats,
+        "classical_hist",
+        "return tuple(map(sum, zip(*kernels.vincular_classical_joint(n))))",
+        "return tuple(map(sum, kernels.vincular_classical_joint(n)))",
+    )
+    assert _failing() == {"check_kernel_definitions"}
+
+
 def test_classical_count_skips_adjacent(mutate):
     # The joint kernel leaves the occurrences with adjacent 1 and 3 out of
     # the classical count, so the vincular count can exceed it.
@@ -366,14 +394,27 @@ def test_rook_weight_exponent(mutate, monkeypatch):
     assert row_sum[0] == "(k,n)=(1,2): q^-3 y^1: 0 vs 1"
 
 
+def test_column_weight_sum_keyed_by_rookless_columns(mutate):
+    # T(j,k,n) reads the profile entry with j rooks, not k - j: the sums
+    # with j = k - j are unchanged, the rest swap.  The rook sum reads the
+    # profile itself, so only the checks on the ladder see it.
+    mutate(
+        rooks,
+        "column_weight_sum",
+        "entry = _placement_profile(n).get((k - j, k))",
+        "entry = _placement_profile(n).get((j, k))",
+    )
+    assert _failing() == {"check_rook_ladder", "check_row_sum_formula"}
+
+
 def test_matching_closed_form_exponent(mutate):
     # Each term with k > 2 weighs one more power of q.  Only the matching
     # check reads the Touchard-Riordan form.
     mutate(
         closedforms,
         "matching_closed_form",
-        "mono = LaurentPoly.monomial(c, k * (k + 1) // 2, 0)",
-        "mono = LaurentPoly.monomial(c, k * (k + 1) // 2 + (k > 2), 0)",
+        "(k * (k + 1) // 2, 0): (-1) ** k",
+        "(k * (k + 1) // 2 + (k > 2), 0): (-1) ** k",
     )
     assert _failing() == {"check_touchard_riordan"}
 
