@@ -17,7 +17,7 @@ import sys
 import traceback
 from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate, product, repeat
+from itertools import accumulate, product
 
 from .laurent import ZERO, LaurentPoly
 from . import ansatz, closedforms, kernels, paths, permstats, rooks
@@ -188,25 +188,29 @@ def check_decompose_roundtrip(ns):
 
     The walk folds decompose, the weight and recompose once per prefix.
     Each path's rebuilt steps are compared with its own, and its weight
-    with its core's times y^j.  Each distinct core is validated and weighed
-    once, and must be in the core set and be its own core, under a left
-    factor of NEs.
+    with its core's times y^j.  Each distinct core is validated once, and
+    must be in the core set and be its own core.  A core is its own core
+    when the walk has met it as a path that is all core, under a left
+    factor of NEs, and its weight is the one the walk folded there; the
+    empty core is seeded.  ns runs upward from 1 and a core is never longer
+    than its path, so each core is met that way before it is looked up.
     """
-    decompose = paths.decompose
     NE, SE, E1 = paths.NE, paths.SE, paths.E1
-    cores = {}  # core steps -> (what is wrong with the core, its weight)
+    # core steps -> (what is wrong with the core, its weight)
+    cores = {(): ("", (1, 0, 0))}
     for n in ns:
+        own_left = (NE,) * n
         for steps, left, core_steps, weight, rebuilt in paths.iter_decomposed_paths(n):
             known = cores.get(core_steps)
             if known is None:
                 core = paths.LabeledMotzkinPath(core_steps)
                 if not core.in_core_set():
                     fault = "core not in core set"
-                elif decompose(core) != ((NE,) * len(core), core):
+                elif core_steps != steps or left != own_left:
                     fault = "core is not its own core"
                 else:
                     fault = ""
-                known = cores[core_steps] = (fault, core.signed_exponents())
+                known = cores[core_steps] = (fault, weight)
             fault, (sign, e_q, e_y) = known
             if fault:
                 yield f"{fault} for {_serialize(steps)}"
@@ -512,16 +516,25 @@ def _run_check(index: int, n_max: int) -> CheckReport:
     return CHECKS[index](n_max)
 
 
+# The longest check's place in CHECKS, taken at import.  It still holds
+# when a tracer later rebinds CHECKS and the check names to wrappers, since
+# those keep the declared order.
+_LONGEST = CHECKS.index(check_decompose_roundtrip)
+
+
 def run_all(n_max: int) -> list[CheckReport]:
     """Run every check; reports come back in the declared order.
 
     With one usable CPU the checks run in this process, in order.
     Otherwise they run in a pool of forked processes, one per usable CPU
-    (at most one per check), which take the checks in order as they come
-    free.  The checks share no state beyond memoised results, and a forked
-    worker inherits this process's modules as they stand, caches and any
-    patched functions included, so it is sent only the check's index.  The
-    pool forks every worker before it starts its own thread.
+    (at most one per check), which take the checks as they come free: the
+    decomposition round trip, the longest by far, first, so that it does
+    not start late on a worker the short checks have kept busy, and then
+    the rest in order.  The checks share no state beyond memoised results,
+    and a forked worker inherits this process's modules as they stand,
+    caches and any patched functions included, so it is sent only the
+    check's index.  The pool forks every worker before it starts its own
+    thread.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
@@ -529,7 +542,7 @@ def run_all(n_max: int) -> list[CheckReport]:
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     workers = min(len(CHECKS), cpus)
     if workers < 2:
-        return list(map(_run_check, indices, repeat(n_max)))
+        return [_run_check(i, n_max) for i in indices]
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
@@ -537,7 +550,9 @@ def run_all(n_max: int) -> list[CheckReport]:
     sys.stderr.flush()
     pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
     try:
-        return list(pool.map(_run_check, indices, repeat(n_max)))
+        order = [_LONGEST] + [i for i in indices if i != _LONGEST]
+        futures = {i: pool.submit(_run_check, i, n_max) for i in order}
+        return [futures[i].result() for i in indices]
     finally:
         pool.shutdown(cancel_futures=True)
 

@@ -70,9 +70,6 @@ class LabeledMotzkinPath:
             raise ValueError("path does not return to height 0")
         _set_steps(self, steps)
 
-    def __len__(self):
-        return len(self.steps)
-
     def signed_exponents(self) -> tuple[int, int, int]:
         """The weight as its (sign, e_q, e_y) triple."""
         sign, eq, ey, _ = reduce(_weight_step, self.steps, _WEIGHT_START)
@@ -332,7 +329,7 @@ def recompose(
     The NEs of left that no SE matches are the core's slots, in order.
     """
     state = reduce(_recompose_step, left, _RECOMPOSE_START)
-    if len(state[1]) != len(core):
+    if len(state[1]) != len(core.steps):
         raise ValueError("core length does not match the left factor")
     return LabeledMotzkinPath(_fill(state, core.steps))
 

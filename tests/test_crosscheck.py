@@ -39,6 +39,28 @@ def test_pool_reports_equal_in_process_reports(pools, n_max):
     assert pools == [2]
 
 
+def test_pool_starts_the_round_trip_first(pools, monkeypatch):
+    # The longest check goes to the pool first; the reports still come back
+    # in the declared order.
+    submitted = []
+    pool_class = concurrent.futures.ProcessPoolExecutor  # the fixture's
+    submit = pool_class.submit
+
+    def recorded(self, fn, *args, **kw):
+        submitted.append((fn, args))
+        return submit(self, fn, *args, **kw)
+
+    monkeypatch.setattr(pool_class, "submit", recorded)
+    want = _fields(check(4) for check in crosscheck.CHECKS)
+    assert _fields(crosscheck.run_all(4)) == want
+    assert pools == [2]
+    first = crosscheck.CHECKS.index(crosscheck.check_decompose_roundtrip)
+    assert submitted[0] == (crosscheck._run_check, (first, 4))
+    assert sorted(submitted[1:]) == [
+        (crosscheck._run_check, (i, 4)) for i in range(len(crosscheck.CHECKS)) if i != first
+    ]
+
+
 def test_one_cpu_forks_nothing(monkeypatch):
     def refuse(*args, **kw):
         raise AssertionError("a pool was made with one usable CPU")

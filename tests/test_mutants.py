@@ -101,6 +101,24 @@ def test_recompose_fills_slots_in_reverse(mutate):
     assert not _raised(crosscheck.check_decompose_roundtrip)
 
 
+def test_left_factor_keeps_core_step_kinds(mutate):
+    # A core step stays its own kind in the left factor instead of turning
+    # into NE.  A path that is all core then no longer splits as NEs over
+    # itself, so no core but the empty one is its own core.  The defect is
+    # in decompose's step rule, which the round trip's walk folds.
+    mutate(
+        paths,
+        "_decompose_step",
+        "return left + (kind,), core, open_ne",
+        "return left + (step[0],), core, open_ne",
+    )
+    assert _failing() == {"check_decompose_roundtrip"}
+    violations = crosscheck.check_decompose_roundtrip(N_MAX).violations
+    assert violations[0] == "core is not its own core for F1*"
+    assert len(violations) == 4837
+    assert not _raised(crosscheck.check_decompose_roundtrip)
+
+
 def test_starred_up_step_shifted_by_h(mutate):
     # A starred NE or E1 at height h weighs q^h instead of q^(h+1).  Every
     # starred step is a core step, so a path and its core lose the same

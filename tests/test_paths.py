@@ -105,7 +105,7 @@ def test_decompose_examples():
     # all-plain path: empty core
     p = _path("U D")
     left, core = paths.decompose(p)
-    assert left == (paths.NE, paths.SE) and len(core) == 0
+    assert left == (paths.NE, paths.SE) and core.steps == ()
     # single starred flat step becomes the whole core
     p = _path("F2*")
     left, core = paths.decompose(p)
