@@ -83,12 +83,12 @@ def _parse_value(text: str) -> Fraction:
 
 def _parse_range(text: str) -> tuple[int, int]:
     match = re.fullmatch(r"([0-9]+)(?:\.\.([0-9]+))?", text)
-    return _span(match, 1, f"malformed range {text!r}")
+    return _span(match, 1, f"range {text!r} must be lo or lo..hi")
 
 
 def _parse_coeff(text: str) -> tuple[int, int]:
     match = re.fullmatch(r"q?([0-9]+)(?:\.\.q?([0-9]+))?", text)
-    return _span(match, 0, f"bad coefficient selector {text!r}")
+    return _span(match, 0, f"coefficient selector {text!r} must be qlo or qlo..qhi")
 
 
 def _span(match, least: int, error: str) -> tuple[int, int]:
@@ -97,7 +97,7 @@ def _span(match, least: int, error: str) -> tuple[int, int]:
         lo, hi = int(match[1]), int(match[2] or match[1])
         if least <= lo <= hi:
             return lo, hi
-    raise argparse.ArgumentTypeError(error)
+    raise argparse.ArgumentTypeError(f"{error} with {least} <= lo <= hi")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -12,6 +12,7 @@ same functions.
 from __future__ import annotations
 
 import functools
+import math
 import os
 import sys
 import traceback
@@ -99,18 +100,23 @@ def _fixed(*ns: int):
     return lambda n_max: ns
 
 
-def _first_term(a: LaurentPoly, b: LaurentPoly) -> str:
-    """The first term where a and b differ, with both coefficients."""
-    e_q, e_y, _ = next((a - b).terms())
-    return f"q^{e_q} y^{e_y}: {a.coeff(e_q, e_y)} vs {b.coeff(e_q, e_y)}"
+def _mismatches(cases):
+    """For each (label, a, b) in cases where a != b, the label and then the
+    first term where the polynomials a and b differ, with both
+    coefficients, or both values if they are not polynomials."""
+    for label, a, b in cases:
+        if a == b:
+            continue
+        if isinstance(a, LaurentPoly):
+            e_q, e_y, _ = next((a - b).terms())
+            yield f"{label}: q^{e_q} y^{e_y}: {a.coeff(e_q, e_y)} vs {b.coeff(e_q, e_y)}"
+        else:
+            yield f"{label}: {a} != {b}"
 
 
 def _differ(ns, left, right):
     """For each n where left(n) != right(n), the first differing term."""
-    for n in ns:
-        a, b = left(n), right(n)
-        if a != b:
-            yield f"n={n}: {_first_term(a, b)}"
+    return _mismatches((f"n={n}", left(n), right(n)) for n in ns)
 
 
 @_check("matrix vs theorem1", _upto())
@@ -173,13 +179,14 @@ def check_core_closed_form(ns):
 
 @_check("left-factor counts vs formula", _upto(10, start=0))
 def check_left_factor_counts(ns):
-    for n in ns:
-        for k in range(n + 1):
-            for j in range(n + 1):
-                a = paths.left_factor_count(n, k, j)
-                b = paths.left_factor_formula(n, k, j)
-                if a != b:
-                    yield f"(n,k,j)=({n},{k},{j}): {a} != {b}"
+    yield from _mismatches(
+        (
+            f"(n,k,j)=({n},{k},{j})",
+            paths.left_factor_count(n, k, j),
+            paths.left_factor_formula(n, k, j),
+        )
+        for n in ns for k, j in product(range(n + 1), repeat=2)
+    )
 
 
 @_check("decomposition round-trip", _upto(7))
@@ -283,35 +290,33 @@ def check_rook_sum_vs_matrix(ns):
 
 @_check("rook summation ladder", _upto(8, start=0))
 def check_rook_ladder(ns):
-    for n in ns:
-        for k in range(n // 2 + 1):
-            exhaustive = rooks.column_weight_sum(0, k, n)
-            for how, t0 in (
-                ("recurrence", rooks.t0_recurrence),
-                ("closed form", rooks.t0_closed),
-            ):
-                other = t0(k, n)
-                if exhaustive != other:
-                    yield f"{how} differs at (k,n)=({k},{n}): {_first_term(exhaustive, other)}"
-            for j in range(k + 1):
-                if n - 2 * k + 2 * j < 0:
-                    continue
-                a = rooks.column_weight_sum(j, k, n)
-                b = rooks.factorized_column_weight_sum(j, k, n)
-                if a != b:
-                    yield f"factorization differs at (j,k,n)=({j},{k},{n}): {_first_term(a, b)}"
+    def cases():
+        for n in ns:
+            for k in range(n // 2 + 1):
+                exhaustive = rooks.column_weight_sum(0, k, n)
+                at = f"at (k,n)=({k},{n})"
+                yield f"recurrence differs {at}", exhaustive, rooks.t0_recurrence(k, n)
+                yield f"closed form differs {at}", exhaustive, rooks.t0_closed(k, n)
+                for j in range(k + 1):
+                    yield (
+                        f"factorization differs at (j,k,n)=({j},{k},{n})",
+                        rooks.column_weight_sum(j, k, n),
+                        rooks.factorized_column_weight_sum(j, k, n),
+                    )
+
+    yield from _mismatches(cases())
 
 
 @_check("row-sum formula vs exhaustive", _upto(7))
 def check_row_sum_formula(ns):
-    for n in ns:
-        for k in range(n + 1):
-            total = ZERO
-            for j in range(k + 1):
-                total = total + rooks.column_weight_sum(j, k, n)
-            formula = LaurentPoly.monomial(1, 0, k) * rooks.row_sum_formula(k, n)
-            if formula != total:
-                yield f"(k,n)=({k},{n}): {_first_term(formula, total)}"
+    yield from _mismatches(
+        (
+            f"(k,n)=({k},{n})",
+            LaurentPoly.monomial(1, 0, k) * rooks.row_sum_formula(k, n),
+            sum((rooks.column_weight_sum(j, k, n) for j in range(k + 1)), ZERO),
+        )
+        for n in ns for k in range(n + 1)
+    )
 
 
 @_check("involution bijection", _upto(6))
@@ -373,19 +378,17 @@ def check_low_order_coefficients(ns):
     for n in ns:
         p = closedforms.partition_polynomial_y1(n)
         lo = closedforms.low_order_coefficients(n)
-        for m in range(4):
-            if p.coeff(m, 0) != lo[m]:
-                yield f"n={n}, q^{m}: {p.coeff(m, 0)} != {lo[m]}"
+        yield from _mismatches((f"n={n}, q^{m}", p.coeff(m, 0), lo[m]) for m in range(4))
 
 
 @_check("q^10 closed form", _fixed(*range(7, 13)))
 def check_q10(ns):
     """The closed form, which is 0 below n = 8, against the y=1 polynomial."""
-    for n in ns:
-        got = closedforms.partition_polynomial_y1(n).coeff(10, 0)
-        want = closedforms.q10_coefficient(n)
-        if got != want:
-            yield f"n={n}: {got} != {want}"
+    yield from _differ(
+        ns,
+        lambda n: closedforms.partition_polynomial_y1(n).coeff(10, 0),
+        closedforms.q10_coefficient,
+    )
 
 
 @_check("narayana specialisation", _upto(10, ahead=1))
@@ -398,11 +401,12 @@ def check_narayana(ns):
 def check_small_q_coefficients(ns):
     for n in ns:
         p = closedforms.partition_polynomial(n)
-        for m in range(1, n + 1):
-            if p.coeff(1, m) != closedforms.q1_y_coefficient(n, m):
-                yield f"q y^{m} at n={n}: {p.coeff(1, m)} != {closedforms.q1_y_coefficient(n, m)}"
-            if p.coeff(2, m) != closedforms.q2_y_coefficient(n, m):
-                yield f"q^2 y^{m} at n={n}: {p.coeff(2, m)} != {closedforms.q2_y_coefficient(n, m)}"
+        q1, q2 = closedforms.q1_y_coefficient, closedforms.q2_y_coefficient
+        yield from _mismatches(
+            (f"q{power} y^{m} at n={n}", p.coeff(e_q, m), closed(n, m))
+            for m in range(1, n + 1)
+            for e_q, power, closed in ((1, "", q1), (2, "^2", q2))
+        )
 
 
 @_check("positivity and factorial specialisation", _upto())
@@ -412,9 +416,7 @@ def check_positivity_and_factorial(ns):
         if any(c <= 0 for _, _, c in p.terms()):
             yield f"n={n}: negative coefficient"
         total = p.eval_q(1).eval_y(1).to_int()
-        want = 1
-        for i in range(2, n + 1):
-            want *= i
+        want = math.factorial(n)
         if total != want:
             yield f"n={n}: total {total} != {want}"
         ys = p.y_support()
@@ -428,10 +430,10 @@ def check_positivity_and_factorial(ns):
 def check_truncation_stability(ns):
     for k in ns:
         base = ansatz.scalar_product(ansatz.yd_plus_e(k + 2), k)
-        for dim in range(k + 3, k + 7):
-            wider = ansatz.scalar_product(ansatz.yd_plus_e(dim), k)
-            if wider != base:
-                yield f"dim={dim}: {_first_term(wider, base)}"
+        yield from _mismatches(
+            (f"dim={dim}", ansatz.scalar_product(ansatz.yd_plus_e(dim), k), base)
+            for dim in range(k + 3, k + 7)
+        )
 
 
 @_check("vincular pattern count bounded by classical", _at(7))
@@ -456,50 +458,45 @@ def check_pattern_tail_bound(ns):
 def check_kernel_definitions(ns):
     """Bulk kernel tables agree with the per-object reference statistics."""
     (n,) = ns
-    terms_ap = Counter()  # (e_q, e_y) -> permutations
-    terms_wc = Counter()
-    hist_cl = Counter()
-    for w in permstats.iter_permutations(n):
-        terms_ap[permstats.pattern_13_2(w), 1 + permstats.ascents(w)] += 1
-        terms_wc[permstats.crossings(w), permstats.weak_exceedances(w)] += 1
-        hist_cl[permstats.classical_132_count(w)] += 1
-    if LaurentPoly(terms_ap) != permstats.gen_polynomial(n, "ascent_pattern"):
-        yield "ascent/pattern table differs from definitions"
-    if LaurentPoly(terms_wc) != permstats.gen_polynomial(n, "wex_crossing"):
-        yield "exceedance/crossing table differs from definitions"
-    bulk = permstats.classical_hist(n)
-    if {c: v for c, v in enumerate(bulk) if v} != hist_cl:
-        yield "classical-pattern histogram differs from definitions"
-    tail = permstats.classical_tail(n, 3)
-    want = tuple(hist_cl[c] for c in range(4))
-    if tail != want:
-        yield f"classical tail {tail} differs from definitions {want}"
-    hist = Counter(
-        (permstats.matching_crossings(pairs), 0) for pairs in permstats.iter_matchings(n)
-    )
-    if LaurentPoly(hist) != permstats.matching_crossing_polynomial(n):
-        yield "matching table differs from definitions"
-    for size in range(1, n + 1):
-        labelled = Counter()  # (e_q, e_y) -> signed paths
-        core = Counter()
-        for p in paths.iter_labelled_paths(size):
-            sign, e_q, e_y = p.signed_exponents()
-            labelled[e_q, e_y] += sign
-            if p.in_core_set():
-                core[e_q, e_y] += sign
-        for kind, tally, restricted in (("labelled", labelled, False), ("core", core, True)):
-            table = kernels.signed_path_table(size, restricted)
-            kernel = LaurentPoly.from_rows({e_y: (0, row) for e_y, row in enumerate(table)})
-            if LaurentPoly(tally) != kernel:
-                yield f"{kind} path sum differs from definitions at n={size}"
-    for size in range(n + 1):
-        counts = Counter((k, j) for _, k, j in paths.iter_left_factors(size))
-        if any(
-            paths.left_factor_count(size, k, j) != counts[k, j]
-            for k in range(size + 1)
-            for j in range(size + 1)
-        ):
-            yield f"left-factor table differs from definitions at n={size}"
+
+    def cases():  # (what, the kernel's table, the definitions' tally)
+        terms_ap = Counter()  # (e_q, e_y) -> permutations
+        terms_wc = Counter()
+        hist_cl = Counter()  # (classical 1-3-2 count, 0) -> permutations
+        for w in permstats.iter_permutations(n):
+            terms_ap[permstats.pattern_13_2(w), 1 + permstats.ascents(w)] += 1
+            terms_wc[permstats.crossings(w), permstats.weak_exceedances(w)] += 1
+            hist_cl[permstats.classical_132_count(w), 0] += 1
+        gen = permstats.gen_polynomial
+        yield "ascent/pattern table", gen(n, "ascent_pattern"), LaurentPoly(terms_ap)
+        yield "exceedance/crossing table", gen(n, "wex_crossing"), LaurentPoly(terms_wc)
+        bulk = {(c, 0): v for c, v in enumerate(permstats.classical_hist(n))}
+        yield "classical-pattern histogram", LaurentPoly(bulk), LaurentPoly(hist_cl)
+        defined_tail = tuple(hist_cl[c, 0] for c in range(4))
+        yield "classical tail", permstats.classical_tail(n, 3), defined_tail
+        hist = Counter(
+            (permstats.matching_crossings(pairs), 0) for pairs in permstats.iter_matchings(n)
+        )
+        yield "matching table", permstats.matching_crossing_polynomial(n), LaurentPoly(hist)
+        for size in range(1, n + 1):
+            labelled = Counter()  # (e_q, e_y) -> signed paths
+            core = Counter()
+            for p in paths.iter_labelled_paths(size):
+                sign, e_q, e_y = p.signed_exponents()
+                labelled[e_q, e_y] += sign
+                if p.in_core_set():
+                    core[e_q, e_y] += sign
+            for kind, tally in (("labelled", labelled), ("core", core)):
+                rows = enumerate(kernels.signed_path_table(size, kind == "core"))
+                kernel = LaurentPoly.from_rows({e_y: (0, row) for e_y, row in rows})
+                yield f"{kind} path sum at n={size}", kernel, LaurentPoly(tally)
+        for size in range(n + 1):  # q^k y^j: final height k, j steps SE or E1
+            square = product(range(size + 1), repeat=2)
+            counts = {(k, j): paths.left_factor_count(size, k, j) for k, j in square}
+            walked = Counter((k, j) for _, k, j in paths.iter_left_factors(size))
+            yield f"left-factor table at n={size}", LaurentPoly(counts), LaurentPoly(walked)
+
+    yield from _mismatches((f"{what} differs from definitions", *pair) for what, *pair in cases())
 
 
 @_check("asymptotic ratio trend", _fixed(20, 40, 60))

@@ -172,6 +172,18 @@ def test_usage_errors_exit_2():
         assert exc.value.code == 2, args
 
 
+@pytest.mark.parametrize("text", ["0..3", "5..3", "1..x"])
+def test_table_range_error_states_the_rule(capsys, text):
+    # Out of range and reversed ranges are well formed: the message gives
+    # the rule they break, not "malformed".
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["table", text])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"range {text!r} must be lo or lo..hi with 1 <= lo <= hi" in err
+    assert "malformed" not in err
+
+
 def test_crosscheck_cap(capsys):
     assert run_cli(["crosscheck", "--n-max", "10"]) == 3
     capsys.readouterr()

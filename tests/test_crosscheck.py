@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from pasep import closedforms, crosscheck, paths
+from pasep import closedforms, crosscheck, paths, permstats
 from pasep.laurent import ZERO, LaurentPoly, NotDivisible
 from pasep.qcombinat import catalan
 
@@ -188,4 +188,23 @@ def test_positivity_reports_a_zero_polynomial(monkeypatch):
         "n=1: no y-degrees",
         "n=2: total 0 != 2",
         "n=2: no y-degrees",
+    ]
+
+
+def test_kernel_definitions_name_the_differing_term(monkeypatch):
+    # One extra q^2 y^3 in the ascent/pattern table at n = 5: the violation
+    # gives the kernel's coefficient first, then the definitions'.
+    gen_polynomial = permstats.gen_polynomial
+
+    def defective(n, stat_pair):
+        table = gen_polynomial(n, stat_pair)
+        if (n, stat_pair) == (5, "ascent_pattern"):
+            return table + LaurentPoly.monomial(1, 2, 3)
+        return table
+
+    monkeypatch.setattr(permstats, "gen_polynomial", defective)
+    want = closedforms.partition_polynomial(5).coeff(2, 3)
+    report = crosscheck.check_kernel_definitions(5)
+    assert report.violations == [
+        f"ascent/pattern table differs from definitions: q^2 y^3: {want + 1} vs {want}"
     ]

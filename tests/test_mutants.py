@@ -151,7 +151,7 @@ def test_classical_tail_off_by_one(mutate):
            "total = count + pending[v] + 1")
     assert _failing() == {"check_kernel_definitions"}
     assert crosscheck.check_kernel_definitions(N_MAX).violations == [
-        "classical tail (0, 0, 0, 0) differs from definitions (42, 21, 23, 14)"
+        "classical tail differs from definitions: (0, 0, 0, 0) != (42, 21, 23, 14)"
     ]
 
 
