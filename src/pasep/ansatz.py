@@ -19,6 +19,14 @@ A truncation of size N reproduces the infinite scalar product <W| M^k |V>
 exactly whenever N >= k + 2, because a length-k walk from index 0 back to 0
 never leaves the first k/2 + 1 coordinates.  Relation checks exclude the
 truncation edge, where bidiagonal products are necessarily wrong.
+
+The scalar products up to a power k_max advance only the coordinates that can
+still return.  A breadth-first search backwards along the matrix's nonzero
+entries gives each coordinate's fewest steps to the support of |V>; after
+step k, a coordinate more than k_max - k steps away is dropped.  No walk
+from it reaches |V> in the steps left, so no later scalar product reads it,
+and every <W| M^k |V> up to k_max is exact.  The cut is read from the
+matrix's entries, not from its shape.
 """
 
 from __future__ import annotations
@@ -94,16 +102,40 @@ def scalar_product(m: tuple, k: int) -> LaurentPoly:
     return scalar_products_upto(m, k)[k]
 
 
+def _steps_to(m: tuple, v: tuple) -> list[int]:
+    """For each coordinate, the fewest steps along m's nonzero entries to a
+    nonzero row of v, or len(m) if there is no such walk: a breadth-first
+    search backwards from those rows."""
+    into = [[] for _ in m]
+    for i, row in enumerate(m):
+        for j in row:
+            into[j].append(i)
+    far = len(m)
+    steps = [0 if row else far for row in v]
+    queue = [j for j, row in enumerate(v) if row]
+    for j in queue:  # the loop also visits what it appends
+        for i in into[j]:
+            if steps[i] == far:
+                steps[i] = steps[j] + 1
+                queue.append(i)
+    return steps
+
+
 def scalar_products_upto(m: tuple, k_max: int) -> list[LaurentPoly]:
-    """[<W| m^k |V> for k = 0..k_max] from one row-vector iteration."""
+    """[<W| m^k |V> for k = 0..k_max] from one row-vector iteration.
+
+    After step k the vector keeps only the coordinates within k_max - k steps
+    of |V>; the others cannot reach it in the steps left, so each returned
+    value is the same as with the whole vector."""
     if len(m) < k_max + 2:
         raise TruncationTooSmall(
             f"need dim >= {k_max + 2} for power {k_max}, got {len(m)}"
         )
     vec, v = boundary_vectors(len(m))
+    steps = _steps_to(m, v)
     out = [_times(vec, v).get(0, ZERO)]
-    for _ in range(k_max):
-        vec = _times(vec, m)
+    for k in range(1, k_max + 1):
+        vec = {j: x for j, x in _times(vec, m).items() if steps[j] <= k_max - k}
         out.append(_times(vec, v).get(0, ZERO))
     return out
 

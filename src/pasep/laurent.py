@@ -1,9 +1,10 @@
 """Exact Laurent polynomials in the two variables q and y.
 
 A polynomial is held as its rows: a map from each power ``e_y`` of y that
-occurs to ``(lo, row)``, where ``row`` lists the coefficients of
-``q^lo, q^(lo+1), ...`` densely.  Every row is trimmed, so its first and last
-entries are nonzero, and the empty map is the zero polynomial; equal
+occurs to ``(lo, row)``, where ``row`` is a list of the coefficients of
+``q^lo, q^(lo+1), ...``, dense.  Every row is a list, whatever sequence a
+caller hands ``from_rows``, and every row is trimmed, so its first and last
+entries are nonzero; the empty map is the zero polynomial.  Equal
 polynomials therefore have equal rows.  Either exponent may be negative.
 Rows are never modified once they belong to a polynomial, so values share
 them freely and are immutable after construction.
@@ -66,10 +67,13 @@ class LaurentPoly:
     def from_rows(cls, rows: dict) -> "LaurentPoly":
         """The polynomial sum_{e_y} y^e_y q^lo (row[0] + row[1] q + ...), from
         dense rows {e_y: (lo, row)}.  Each row is trimmed and an all-zero row
-        dropped; a row may become the polynomial's own, so the caller must
-        not modify it afterwards."""
+        dropped; a row that is not a list is copied into one.  A list may
+        become the polynomial's own, so the caller must not modify it
+        afterwards."""
         out = {}
         for ey, (lo, row) in rows.items():
+            if not isinstance(row, list):
+                row = list(row)
             trimmed = _trim(lo, row) if row else None
             if trimmed:
                 out[ey] = trimmed

@@ -249,16 +249,20 @@ def motzkin_polynomials_upto(n: int) -> tuple[LaurentPoly, ...]:
     dp = [ONE]  # dp[h]: weighted sum over paths so far that end at height h
     results = []
     for step in range(1, n + 1):
-        new = [ZERO] * (len(dp) + 1)
+        top = n - step  # higher paths cannot return to 0 by step n
+        new = [ZERO] * (min(len(dp), top) + 1)
         for h, p in enumerate(dp):
-            up = p * (Y * q_int(h + 1))  # weight y*[h+1]_q: NE and E1
-            new[h + 1] = new[h + 1] + up
-            new[h] = new[h] + up
+            if h <= top:
+                up = p * (Y * q_int(h + 1))  # weight y*[h+1]_q: NE and E1
+                new[h] = new[h] + up
+                if h < top:
+                    new[h + 1] = new[h + 1] + up
             if h > 0:
                 down = p * q_int(h)  # weight [h]_q: SE and E2
                 new[h - 1] = new[h - 1] + down
-                new[h] = new[h] + down
-        dp = new[: n - step + 1]  # higher paths cannot return to 0 by step n
+                if h <= top:
+                    new[h] = new[h] + down
+        dp = new
         results.append(dp[0])
     return tuple(results)
 

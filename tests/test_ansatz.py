@@ -63,6 +63,31 @@ def test_scalar_products_dense_matrix():
         power = _matmul(power, rows)
 
 
+def test_scalar_products_cut_is_exact_at_every_power():
+    # Not tridiagonal.  Coordinate 6 never reaches coordinate 0 but row 0
+    # feeds it; coordinate 4 needs three steps back and 2 and 5 need two.
+    # The cut drops each at the step after which it can no longer return.
+    dim, big = 7, 5
+    entries = {
+        0: {0: ONE + Q, 2: Y, 4: 2 * ONE, 6: Q},
+        1: {0: Y, 1: 3 * ONE},
+        2: {1: Q * Y, 5: ONE},
+        3: {0: -ONE, 3: Y},
+        4: {2: ONE, 4: Q},
+        5: {3: 2 * ONE + Y, 6: ONE},
+        6: {6: ONE + Y},
+    }
+    m = tuple(entries[i] for i in range(dim))
+    assert ansatz._steps_to(m, ansatz.boundary_vectors(dim)[1]) == [0, 1, 2, 1, 3, 2, dim]
+    rows = [[entries[i].get(j, ZERO) for j in range(dim)] for i in range(dim)]
+    got = ansatz.scalar_products_upto(m, big)
+    power = [[ONE if i == j else ZERO for j in range(dim)] for i in range(dim)]
+    for k in range(big + 1):
+        assert got[k] == power[0][0], k
+        assert ansatz.scalar_products_upto(m, k) == got[: k + 1], k
+        power = _matmul(power, rows)
+
+
 def test_scalar_product_truncation_guard():
     m = ansatz.yd_plus_e(3)
     with pytest.raises(ansatz.TruncationTooSmall):

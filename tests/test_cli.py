@@ -110,6 +110,18 @@ def test_signed_paths_equals_theorem1_up_to_cap():
     assert list(crosscheck._differ(sizes, *methods)) == []
 
 
+def test_matrix_equals_theorem1_up_to_cap():
+    """The matrix route against theorem1 at its cap, and every smaller size
+    as y times one pass of scalar products; a difference is named by its
+    first term, as crosscheck reports it."""
+    cap = cli.METHOD_CAPS["matrix"]
+    theorem1 = cli.METHODS["theorem1"]
+    assert list(crosscheck._differ([cap], cli.METHODS["matrix"], theorem1)) == []
+    scalars = ansatz.scalar_products_upto(ansatz.yd_plus_e(cap + 2), cap - 1)
+    sizes = range(1, cap + 1)
+    assert list(crosscheck._differ(sizes, lambda n: Y * scalars[n - 1], theorem1)) == []
+
+
 ROUTE_MODULES = ("ansatz", "closedforms", "crosscheck", "paths", "permstats", "rooks")
 
 

@@ -183,18 +183,56 @@ def test_from_rows_trims_and_drops_zero_rows():
     assert LaurentPoly.from_rows({0: (0, [0])}).is_zero
 
 
-@given(any_polys, st.integers(0, 3), st.integers(0, 3))
-def test_from_rows_of_padded_rows(p, before, after):
-    """Each row of p, padded with zeros at both ends, gives p back."""
+def _padded_rows(p, before, after):
+    """The dense rows {e_y: (lo, row)} of p, each padded with zeros at both ends."""
     rows = {}
     for ey in p.y_support():
         row = coeff_y(p, ey)
         qs = [eq for eq, _, _ in row.terms()]
         dense = [row.coeff(eq, 0) for eq in range(qs[0], qs[-1] + 1)]
         rows[ey] = (qs[0] - before, [0] * before + dense + [0] * after)
+    return rows
+
+
+@given(any_polys, st.integers(0, 3), st.integers(0, 3))
+def test_from_rows_of_padded_rows(p, before, after):
+    """Each row of p, padded with zeros at both ends, gives p back."""
+    rows = _padded_rows(p, before, after)
     rows[9] = (0, [0] * after)  # a zero row, dropped
     got = LaurentPoly.from_rows(rows)
     assert got == p
+
+
+@given(any_polys, any_polys, st.integers(0, 2), st.integers(0, 2))
+def test_from_rows_of_tuple_rows(p, other, before, after):
+    """Rows given as tuples build the same polynomial as the same rows given
+    as lists, and it takes part in every ring operation as its twin does."""
+    rows = _padded_rows(p, before, after)
+    twin = LaurentPoly.from_rows(rows)
+    got = LaurentPoly.from_rows({ey: (lo, tuple(row)) for ey, (lo, row) in rows.items()})
+    assert got == twin == p
+    one_minus_q = ONE - Q
+    ops = (
+        lambda a: a + other,
+        lambda a: other + a,
+        lambda a: a - other,
+        lambda a: other - a,
+        lambda a: a - ONE,
+        lambda a: a - a,
+        lambda a: -a,
+        lambda a: a * other,
+        lambda a: other * a,
+        lambda a: 3 * a,
+        lambda a: a**2,
+        lambda a: a.exact_div(Q * Y),
+        lambda a: (a * one_minus_q).exact_div(one_minus_q),
+        lambda a: a.eval_q(Fraction(2, 3)),
+        lambda a: a.eval_y(-2),
+    )
+    for op in ops:
+        assert op(got) == op(twin)
+    assert got.to_json() == twin.to_json()
+    assert got.pretty() == twin.pretty()
 
 
 def test_pow_matches_repeated_multiplication():

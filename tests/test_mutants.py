@@ -228,6 +228,24 @@ def test_matrix_route_drops_y(mutate):
     assert _failing() == {"check_matrix_vs_theorem1"}
 
 
+def test_matrix_cut_one_step_early(mutate):
+    # The scalar products drop each coordinate one step before it can no
+    # longer return to |V>.  The smaller powers stay exact, but the last
+    # step keeps no coordinate, so <W|M^k_max|V> comes out zero:
+    # each check that reads the last scalar product of yD+E or yD^+E^ fails.
+    mutate(
+        ansatz,
+        "scalar_products_upto",
+        "vec = {j: x for j, x in _times(vec, m).items() if steps[j] <= k_max - k}",
+        "vec = {j: x for j, x in _times(vec, m).items() if steps[j] < k_max - k}",
+    )
+    assert _failing() == {
+        "check_matrix_vs_theorem1",
+        "check_rook_sum_vs_matrix",
+        "check_boundary_reconciliation",
+    }
+
+
 def test_signed_paths_route_divides_one_short(mutate):
     # The labelled sum is divided by (1-q)^(n-1), leaving a factor 1-q.
     mutate(
