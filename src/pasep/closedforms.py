@@ -231,7 +231,13 @@ def q2_y_coefficient(n: int, m: int) -> int:
 def asymptotic_ratio(m: int, n: int) -> float:
     """Exact [q^m] coefficient of the y=1 polynomial divided by the growth
     estimate 4^n n^(m-3/2) / (sqrt(pi) m!).  The huge factors cancel
-    exactly before the one rounding to float."""
+    exactly before the one rounding to float.  m runs up to the top power
+    of q at size n, (n-1)^2 // 4; a larger m, as in a call with m and n
+    swapped, raises ValueError."""
+    if n < 1 or not 0 <= m <= (n - 1) ** 2 // 4:
+        raise ValueError(
+            f"asymptotic_ratio(m={m}, n={n}) needs n >= 1 and 0 <= m <= (n-1)^2 // 4"
+        )
     coeff = partition_polynomial_y1(n).coeff(m, 0)
     return float(Fraction(coeff * factorial(m), 4**n)) * sqrt(pi) * n ** (1.5 - m)
 

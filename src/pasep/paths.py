@@ -8,7 +8,13 @@ Two weight schemes appear:
   y*[h+1]_q for NE and E1, and [h]_q for SE and E2 (so E2 at height 0 weighs
   zero).  Closed paths of length n weighted this way sum to the partition
   polynomial of size n; ``motzkin_polynomial`` computes that sum by a
-  height-indexed transfer (dynamic programming).
+  height-indexed transfer (dynamic programming).  The transfer packs each
+  q-row into one int, a fixed slot of b bits per coefficient, so a step is
+  shifts and adds of ints: times [m]_q is a window built by doubling, and
+  times y moves the row to the next power of y.  All weights are
+  nonnegative, so no slot overflows once 2^b exceeds the transfer's total
+  weight at q = y = 1, bounded by the product of the largest step weight
+  4h + 2 at each step (``_slot_bits``).
 
 * The labelled scheme: every step carries one of two labels, plain or
   starred, with weights y / -y*q^(h+1) for NE and E1 and 1 / -q^h for SE and
@@ -35,12 +41,14 @@ starred step; e.g. ``"U F1* D*"``.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache, reduce
+from math import prod
 
 from . import kernels
 from .laurent import ONE, Q, Y, ZERO, LaurentPoly
-from .qcombinat import binomial, q_int
+from .qcombinat import binomial
 
 NE, SE, E1, E2 = "NE", "SE", "E1", "E2"
 _RISE = {NE: 1, SE: -1, E1: 0, E2: 0}
@@ -243,28 +251,77 @@ def iter_decomposed_paths(n: int):
 # -- generating polynomial by height-indexed transfer -----------------------
 
 
+def _slot_bits(n: int) -> int:
+    """The slot width b of the packed rows in motzkin_polynomials_upto(n),
+    in bits, a whole number of bytes: every coefficient the transfer forms
+    is below 2^b.
+
+    Every coefficient is nonnegative, so it is at most its state's value at
+    q = y = 1.  A step from height h weighs (h+1) + (h+1) + h + h = 4h + 2
+    there, and step t + 1 starts from heights h <= t that the cut has kept
+    at h <= n - t.  So the states after step s sum to at most
+    prod(4*min(t, n-t) + 2 for t < s) at q = y = 1, which grows with s.
+    Each value formed on the way, a window or an up weight, is part of a
+    state after the next step, so the product over all n steps bounds them
+    all.
+    """
+    bound = prod(4 * min(t, n - t) + 2 for t in range(n))
+    return -(-bound.bit_length() // 8) * 8
+
+
+def _window(p: int, m: int, b: int) -> int:
+    """The packed row p times [m]_q = 1 + q + ... + q^(m-1), by doubling:
+    [2k]_q = [k]_q (1 + q^k) and [k+1]_q = q [k]_q + 1."""
+    acc = k = 0
+    for bit in bin(m)[2:]:
+        acc += acc << k * b
+        k *= 2
+        if bit == "1":
+            acc = (acc << b) + p
+            k += 1
+    return acc
+
+
+def _unpacked(rows: dict, b: int) -> dict:
+    """The dense rows {e_y: (0, row)} packed in rows[e_y], b bits a slot."""
+    w = b // 8
+    out = {}
+    for ey, p in rows.items():
+        buf = p.to_bytes(-(-p.bit_length() // b) * w, "little")
+        out[ey] = (0, [int.from_bytes(buf[i:i + w], "little") for i in range(0, len(buf), w)])
+    return out
+
+
 @lru_cache(maxsize=None)
 def motzkin_polynomials_upto(n: int) -> tuple[LaurentPoly, ...]:
-    """(p_1, ..., p_n): p_s is the weighted sum over closed paths of length s."""
-    dp = [ONE]  # dp[h]: weighted sum over paths so far that end at height h
+    """(p_1, ..., p_n): p_s is the weighted sum over closed paths of length s.
+
+    Each state holds one int per power of y: its q-row, coefficient i in
+    bits [i*b, (i+1)*b) with b = _slot_bits(n).  No slot overflows, so
+    shifts and adds of the ints are the ring operations on the rows.
+    """
+    b = _slot_bits(n)
+    dp = [{0: 1}]  # dp[h][e_y]: packed q-row of the paths so far that end at height h
     results = []
     for step in range(1, n + 1):
         top = n - step  # higher paths cannot return to 0 by step n
-        new = [ZERO] * (min(len(dp), top) + 1)
-        for h, p in enumerate(dp):
-            if h <= top:
-                up = p * (Y * q_int(h + 1))  # weight y*[h+1]_q: NE and E1
-                new[h] = new[h] + up
-                if h < top:
-                    new[h + 1] = new[h + 1] + up
-            if h > 0:
-                down = p * q_int(h)  # weight [h]_q: SE and E2
-                new[h - 1] = new[h - 1] + down
+        new = [defaultdict(int) for _ in range(min(len(dp), top) + 1)]
+        for h, rows in enumerate(dp):
+            dp[h] = None  # freed once stepped from: less memory held at once
+            for ey, p in rows.items():
+                down = _window(p, h, b)  # weight [h]_q: SE and E2
                 if h <= top:
-                    new[h] = new[h] + down
+                    up = down + (p << h * b)  # weight y*[h+1]_q: NE and E1
+                    new[h][ey + 1] += up
+                    if h < top:
+                        new[h + 1][ey + 1] += up
+                if h > 0:
+                    new[h - 1][ey] += down
+                    if h <= top:
+                        new[h][ey] += down
         dp = new
-        results.append(dp[0])
-    return tuple(results)
+        results.append(_unpacked(dp[0], b))  # held once, as dense rows
+    return tuple(map(LaurentPoly.from_rows, results))
 
 
 def motzkin_polynomial(n: int) -> LaurentPoly:

@@ -122,6 +122,17 @@ def test_matrix_equals_theorem1_up_to_cap():
     assert list(crosscheck._differ(sizes, lambda n: Y * scalars[n - 1], theorem1)) == []
 
 
+def test_motzkin_equals_theorem1_up_to_cap():
+    """The Motzkin route against theorem1 at every size up to its cap, all
+    read from one transfer at the cap; a difference is named by its first
+    term, as crosscheck reports it."""
+    cap = cli.METHOD_CAPS["motzkin"]
+    motzkin = paths.motzkin_polynomials_upto(cap)
+    sizes = range(1, cap + 1)
+    theorem1 = cli.METHODS["theorem1"]
+    assert list(crosscheck._differ(sizes, lambda n: motzkin[n - 1], theorem1)) == []
+
+
 ROUTE_MODULES = ("ansatz", "closedforms", "crosscheck", "paths", "permstats", "rooks")
 
 

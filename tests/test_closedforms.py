@@ -125,6 +125,16 @@ def test_asymptotic_ratio_trend_m1_m2():
         assert r20 < r40 < r60 < 1
 
 
+def test_asymptotic_ratio_refuses_swapped_arguments():
+    """m past the top power of q at size n, or n < 1, names both arguments
+    instead of reading a zero coefficient or failing deeper down."""
+    with pytest.raises(ValueError, match=r"asymptotic_ratio\(m=60, n=2\)"):
+        cf.asymptotic_ratio(60, 2)
+    with pytest.raises(ValueError, match=r"asymptotic_ratio\(m=400, n=0\)"):
+        cf.asymptotic_ratio(400, 0)
+    assert cf.asymptotic_ratio(1, 3) > 0  # q^1 is the top power at n = 3
+
+
 def test_partition_polynomial_matches_motzkin():
     for n in range(1, 16):
         assert cf.partition_polynomial(n) == paths.motzkin_polynomial(n)

@@ -114,8 +114,14 @@ MUTANTS = (
     # NE and E1 at height h weigh y [h+2]_q instead of y [h+1]_q in the
     # transfer: the one check that reads the Motzkin route catches it.
     ("motzkin_up_step_shifted_in_q", paths, "motzkin_polynomials_upto",
-     "up = p * (Y * q_int(h + 1))  # weight y*[h+1]_q: NE and E1",
-     "up = p * (Y * q_int(h + 2))",
+     "up = down + (p << h * b)  # weight y*[h+1]_q: NE and E1",
+     "up = down + (p << h * b) + (p << (h + 1) * b)",
+     {"check_motzkin_vs_theorem1"}),
+    # The transfer's window drops its odd-bit step, so p [m]_q comes out
+    # zero: SE and E2 weigh nothing.  Only the Motzkin route packs rows.
+    ("motzkin_window_drops_odd_bit_step", paths, "_window",
+     "acc = (acc << b) + p",
+     "pass",
      {"check_motzkin_vs_theorem1"}),
     # <W|(yD+E)^(n-1)|V> without its factor y: every y-degree is one short.
     ("matrix_route_drops_y", ansatz, "partition_polynomial_via_matrix",

@@ -6,9 +6,9 @@ from itertools import product
 
 import pytest
 
-from pasep import ansatz, kernels, paths
+from pasep import ansatz, cli, kernels, paths
 from pasep.laurent import ONE, Q, Y, ZERO, LaurentPoly
-from pasep.qcombinat import catalan
+from pasep.qcombinat import catalan, q_int
 
 _KIND = {"U": paths.NE, "D": paths.SE, "F1": paths.E1, "F2": paths.E2}
 
@@ -36,6 +36,46 @@ def test_motzkin_matches_matrix():
     for n in range(1, 13):
         m = ansatz.yd_plus_e(n + 1)
         assert paths.motzkin_polynomial(n) == Y * ansatz.scalar_product(m, n - 1)
+
+
+def _packed(row, b):
+    return sum(c << i * b for i, c in enumerate(row))
+
+
+@pytest.mark.parametrize("row", [[0, 0, 3, 0, 5], [7, 0, 0, 1], [0, 2**40, 0, 0, 9, 0, 1]])
+@pytest.mark.parametrize("m", [0, 1, 2, 3, 20])
+def test_window_is_the_product_by_q_int(row, m):
+    """The packed window, read back, is the row times [m]_q: leading and
+    inner zero slots stay in place, and no slot carries into the next."""
+    b = 64
+    got = LaurentPoly.from_rows(paths._unpacked({2: paths._window(_packed(row, b), m, b)}, b))
+    assert got == LaurentPoly.from_rows({2: (0, row)}) * q_int(m)
+
+
+def test_slot_bits_hold_every_state_up_to_the_cap():
+    """At every n the CLI accepts, the slot width exceeds the largest total
+    weight of the transfer's states at q = y = 1, which bounds each of their
+    coefficients.  The totals come from the same transfer at q = y = 1,
+    where each state is one int."""
+    for n in range(1, cli.METHOD_CAPS["motzkin"] + 1):
+        b = paths._slot_bits(n)
+        assert b % 8 == 0
+        dp, largest = [1], 1
+        for step in range(1, n + 1):
+            top = n - step
+            new = [0] * (min(len(dp), top) + 1)
+            for h, v in enumerate(dp):
+                if h <= top:
+                    new[h] += (h + 1) * v
+                    if h < top:
+                        new[h + 1] += (h + 1) * v
+                if h > 0:
+                    new[h - 1] += h * v
+                    if h <= top:
+                        new[h] += h * v
+            dp = new
+            largest = max(largest, sum(dp))
+        assert largest < 2**b, n
 
 
 def test_labelled_path_sum_small():
