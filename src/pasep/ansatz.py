@@ -200,22 +200,21 @@ def verify_hat_relations(n: int) -> list[str]:
 def verify_inversion(
     n: int,
     printed_eq5: bool = False,
-    y: LaurentPoly | int | None = None,
+    y: int | None = None,
 ) -> list[str]:
     """Violations of the two inversion formulas between (yD+E)^n and (yD^+E^)^n.
 
     First identity: (1-q)^n (yD+E)^n = sum_k binom(n,k) (1+y)^(n-k) (-q)^k (yD^+E^)^k.
     Second identity: q^n (yD^+E^)^n = sum_k binom(n,k) (1+y)^(n-k) (-(1-q))^k (yD+E)^k.
 
-    ``printed_eq5=True`` replaces the final factor of the second identity by
-    (D+E)^k; that variant is wrong for y != 1 and is kept only so tests can
-    demonstrate the failure.  The matrices are truncated at dimension n + 4
-    and entries are compared on indices < 4.
+    An integer ``y`` is substituted for the variable y; None keeps y
+    symbolic.  ``printed_eq5=True`` replaces the final factor of the second
+    identity by (D+E)^k; that variant is wrong for y != 1 and is kept only so
+    tests can demonstrate the failure.  The matrices are truncated at
+    dimension n + 4 and entries are compared on indices < 4.
     """
     dim = n + 4
-    yv: LaurentPoly = Y if y is None else (
-        LaurentPoly.monomial(y) if isinstance(y, int) else y
-    )
+    yv = Y if y is None else LaurentPoly.monomial(y)
     one_plus_y = ONE + yv
     one_minus_q = ONE - Q
     interior = dim - n

@@ -21,7 +21,7 @@ from functools import lru_cache
 from math import factorial, pi, sqrt
 from operator import add, neg
 
-from .laurent import ONE, Q, ZERO, LaurentPoly
+from .laurent import ZERO, LaurentPoly
 from .qcombinat import binomial, catalan
 
 
@@ -54,7 +54,7 @@ def partition_polynomial(n: int) -> LaurentPoly:
             stop = i * (n - i - j + 2)
             row[i:stop:i] = map(add, row[i:stop:i], signed[i:])
     num = LaurentPoly.from_rows({s: (0, row) for s, row in enumerate(rows)})
-    return num.exact_div((ONE - Q) ** n)
+    return num.exact_div(n)
 
 
 @lru_cache(maxsize=None)
@@ -77,7 +77,7 @@ def partition_polynomial_y1(n: int) -> LaurentPoly:
     for i in range(1, n + 1):
         stop = i * (n - i + 2)
         row[i:stop:i] = map(add, row[i:stop:i], signed[i:])
-    return LaurentPoly.from_rows({0: (0, row)}).exact_div((ONE - Q) ** n)
+    return LaurentPoly.from_rows({0: (0, row)}).exact_div(n)
 
 
 @lru_cache(maxsize=None)
@@ -88,7 +88,7 @@ def _q_int_power(j: int, n: int) -> LaurentPoly:
     prefix-sum passes, far cheaper than squaring the dense [j]_q.
     """
     num = LaurentPoly({(j * i, 0): (-1) ** i * binomial(n, i) for i in range(n + 1)})
-    return num.exact_div((ONE - Q) ** n)
+    return num.exact_div(n)
 
 
 def y_coefficient_formula(m: int, n: int) -> LaurentPoly:
@@ -137,7 +137,7 @@ def matching_closed_form(n: int) -> LaurentPoly:
             for k in range(n + 1)
         }
     )
-    return num.exact_div((ONE - Q) ** n)
+    return num.exact_div(n)
 
 
 def low_order_coefficients(n: int) -> tuple[int, int, int, int]:

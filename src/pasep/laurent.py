@@ -12,10 +12,9 @@ them freely and are immutable after construction.
 Ring operations combine rows by C-level slice arithmetic (``map``,
 ``accumulate``) instead of per-term updates.  A term map ``{(e_q, e_y): c}``
 is built only at the boundary: ``terms``, serialisation and substitution for y.
-The one divisor the formulas need is +-q^a y^b (1-q)^k, and ``exact_div``
-divides by that alone.  The canonical term order used everywhere
-(serialisation, pretty printing) is lexicographic on ``(e_q, e_y)``,
-ascending.
+The one divisor the formulas need is (1-q)^k, and ``exact_div`` takes its
+power k.  The canonical term order used everywhere (serialisation, pretty
+printing) is lexicographic on ``(e_q, e_y)``, ascending.
 
 Coefficients stay plain ``int`` under ring operations.  Substituting a
 rational value for a variable (``eval_q`` / ``eval_y``) may produce
@@ -29,7 +28,6 @@ import json
 from collections import defaultdict
 from fractions import Fraction
 from itertools import accumulate, chain, islice, repeat
-from math import comb
 from operator import add, mul, neg, sub
 
 
@@ -182,32 +180,19 @@ class LaurentPoly:
 
     # -- division ----------------------------------------------------------
 
-    def exact_div(self, other: "LaurentPoly") -> "LaurentPoly":
-        """Exact quotient self / (sign q^a y^b (1-q)^k), for sign = +-1.
+    def exact_div(self, k: int) -> "LaurentPoly":
+        """Exact quotient self / (1-q)^k.
 
         Dividing a q-row by (1 - q) takes its prefix sums; the division is
         exact exactly when the last prefix sum (the row sum) is zero.  The
         quotient's rows stay trimmed: their first entry is the dividend's and
         their last is +-the dividend's last.
 
-        Raises ZeroDivisionError for a zero divisor, ValueError for a divisor
-        of any other form, and NotDivisible when no exact quotient with
-        integer coefficients exists.
+        Raises ValueError for k < 0, and NotDivisible when no exact quotient
+        with integer coefficients exists.
         """
-        other = LaurentPoly._coerce(other)
-        if other is not None and other.is_zero:
-            raise ZeroDivisionError("division by zero polynomial")
-        # Is other +-q^a y^b (1-q)^k, i.e. one y-row carrying the signed
-        # binomial coefficients?
-        if other is None or len(other._rows) != 1:
-            raise ValueError(_DIVISOR_FORM)
-        (y_shift, (q_shift, divisor)), = other._rows.items()
-        k = len(divisor) - 1
-        sign = divisor[0]
-        if sign not in (1, -1) or any(
-            c != sign * (-1) ** i * comb(k, i) for i, c in enumerate(divisor)
-        ):
-            raise ValueError(_DIVISOR_FORM)
+        if k < 0:
+            raise ValueError("only nonnegative powers of (1-q) are supported")
         out = {}
         for ey, (lo, row) in self._rows.items():
             for _ in range(k):
@@ -216,7 +201,7 @@ class LaurentPoly:
                     raise NotDivisible(
                         f"no exact quotient (y^{ey} row is not divisible by (1-q)^{k})"
                     )
-            out[ey - y_shift] = (lo - q_shift, row if sign == 1 else list(map(neg, row)))
+            out[ey] = (lo, row)
         return LaurentPoly._raw(out)
 
     # -- substitution -------------------------------------------------------
@@ -403,8 +388,6 @@ def _row_product(a: dict, b: dict) -> dict:
             _add_row(rows, ya + yb, la + lb, out)
     return rows
 
-
-_DIVISOR_FORM = "exact_div divides only by +-q^a y^b (1-q)^k"
 
 ZERO = LaurentPoly._raw({})
 ONE = LaurentPoly.monomial(1)

@@ -346,7 +346,7 @@ def labelled_path_sum(n: int) -> LaurentPoly:
 
 def partition_polynomial_via_signed_paths(n: int) -> LaurentPoly:
     """The partition polynomial of size n, the labelled sum divided by (1-q)^n."""
-    return labelled_path_sum(n).exact_div((ONE - Q) ** n)
+    return labelled_path_sum(n).exact_div(n)
 
 
 @lru_cache(maxsize=None)

@@ -244,7 +244,7 @@ def row_sum_formula(k: int, n: int) -> LaurentPoly:
             - LaurentPoly.monomial(1, (k + 1 - j) * (n + 1 - k - j), 0)
         )
         num = num + bracket * c
-    return num.exact_div((ONE - Q) * LaurentPoly.monomial(1, n, 0))
+    return num.exact_div(1) * LaurentPoly.monomial(1, -n, 0)
 
 
 def boundary_g(n: int) -> LaurentPoly:
@@ -327,7 +327,7 @@ def partition_polynomial_via_rooks(n: int) -> LaurentPoly:
             * LaurentPoly.monomial((-1) ** k, k, 0)
         )
         total = total + coef * rook_sum(k)
-    return Y * total.exact_div((ONE - Q) ** k_max)
+    return Y * total.exact_div(k_max)
 
 
 # -- the bijection to involutions ------------------------------------------------

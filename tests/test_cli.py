@@ -122,6 +122,15 @@ def test_matrix_equals_theorem1_up_to_cap():
     assert list(crosscheck._differ(sizes, lambda n: Y * scalars[n - 1], theorem1)) == []
 
 
+def test_williams_equals_theorem1_at_cap():
+    """The Williams route against theorem1 at its cap only: the route
+    recomputes every coefficient formula at each size, so one size is what
+    a test can afford; a difference is named by its first term."""
+    cap = cli.METHOD_CAPS["williams"]
+    methods = cli.METHODS["williams"], cli.METHODS["theorem1"]
+    assert list(crosscheck._differ([cap], *methods)) == []
+
+
 def test_motzkin_equals_theorem1_up_to_cap():
     """The Motzkin route against theorem1 at every size up to its cap, all
     read from one transfer at the cap; a difference is named by its first

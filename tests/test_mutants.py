@@ -105,6 +105,13 @@ MUTANTS = (
      "cla += 1",
      "cla += not adjacent",
      {"check_pattern_bound", "check_kernel_definitions"}),
+    # The joint kernel counts each vincular occurrence twice, so the
+    # vincular count can exceed the classical one.  The classical axis is
+    # unchanged, and the bound is the only reader of the vincular axis.
+    ("vincular_count_doubled", kernels, "vincular_classical_joint",
+     "vin += 1",
+     "vin += 2",
+     {"check_pattern_bound"}),
     # Paths one unit apart, as at their start, count as meeting, so every
     # left factor that returns to height 0 drops out of the image.
     ("lattice_pairs_one_apart_count_as_meeting", paths.LatticePathPair, "is_nonintersecting",
@@ -138,8 +145,8 @@ MUTANTS = (
      {"check_matrix_vs_theorem1", "check_rook_sum_vs_matrix", "check_boundary_reconciliation"}),
     # The labelled sum is divided by (1-q)^(n-1), leaving a factor 1-q.
     ("signed_paths_route_divides_one_short", paths, "partition_polynomial_via_signed_paths",
-     "return labelled_path_sum(n).exact_div((ONE - Q) ** n)",
-     "return labelled_path_sum(n).exact_div((ONE - Q) ** (n - 1))",
+     "return labelled_path_sum(n).exact_div(n)",
+     "return labelled_path_sum(n).exact_div(n - 1)",
      {"check_signed_paths_extraction"}),
     # The sum over y^m leaves out m = n, the y^n coefficient.
     ("williams_route_stops_before_y_to_the_n", closedforms, "partition_polynomial_via_williams",
@@ -293,7 +300,6 @@ SHARED: dict[str, str] = {
     "check_rook_route_vs_theorem1": "its rook sums and theorem1 are each read by another check",
     "check_positivity_and_factorial": "theorem1 is also compared with every route",
     "check_truncation_stability": "a size-dependent D or E also breaks the matrix checks",
-    "check_pattern_bound": "blind to undercounts; overcounts fail kernel definitions too",
     "check_pattern_tail_bound": "blind to undercounts; overcounts fail kernel definitions too",
 }
 
