@@ -160,10 +160,8 @@ def check_signed_paths_extraction(ns):
 def check_decomposition_sum(ns):
     def total(n):
         out = ZERO
-        for k in range(n + 1):
-            left = LaurentPoly(
-                {(0, j): paths.left_factor_count(n, k, j) for j in range(n - k + 1)}
-            )
+        for k, row in enumerate(kernels.left_factor_counts(n)):
+            left = LaurentPoly({(0, j): c for j, c in enumerate(row)})
             out = out + left * paths.core_signed_sum(k)
         return out
 
@@ -179,14 +177,12 @@ def check_core_closed_form(ns):
 
 @_check("left-factor counts vs formula", _upto(10, start=0))
 def check_left_factor_counts(ns):
-    yield from _mismatches(
-        (
-            f"(n,k,j)=({n},{k},{j})",
-            paths.left_factor_count(n, k, j),
-            paths.left_factor_formula(n, k, j),
+    for n in ns:
+        table = kernels.left_factor_counts(n)
+        yield from _mismatches(
+            (f"(n,k,j)=({n},{k},{j})", table[k][j], paths.left_factor_formula(n, k, j))
+            for k, j in product(range(n + 1), repeat=2)
         )
-        for n in ns for k, j in product(range(n + 1), repeat=2)
-    )
 
 
 @_check("decomposition round-trip", _upto(7))
@@ -491,8 +487,8 @@ def check_kernel_definitions(ns):
                 kernel = LaurentPoly.from_rows({e_y: (0, row) for e_y, row in rows})
                 yield f"{kind} path sum at n={size}", kernel, LaurentPoly(tally)
         for size in range(n + 1):  # q^k y^j: final height k, j steps SE or E1
-            square = product(range(size + 1), repeat=2)
-            counts = {(k, j): paths.left_factor_count(size, k, j) for k, j in square}
+            rows = enumerate(kernels.left_factor_counts(size))
+            counts = {(k, j): c for k, row in rows for j, c in enumerate(row)}
             walked = Counter((k, j) for _, k, j in paths.iter_left_factors(size))
             yield f"left-factor table at n={size}", LaurentPoly(counts), LaurentPoly(walked)
 

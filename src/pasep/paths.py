@@ -32,8 +32,10 @@ within their run of plain steps; the left factor is the path with each core
 step replaced by NE.  decompose, recompose and the labelled weight are each
 one per-step rule, folded over a path; ``iter_decomposed_paths`` carries all
 three down the enumeration's prefix tree, so each prefix is folded once.  Left
-factors are also counted two independent ways: by a height transfer and
-through non-intersecting lattice-path pairs.
+factors are counted independently by the height transfer
+``kernels.left_factor_counts``, by the closed form ``left_factor_formula``
+and by their definition, ``iter_left_factors``; ``pair_to_left_factor`` maps
+non-intersecting lattice-path pairs onto them.
 
 Step serialisation: U (NE), D (SE), F1, F2, with a trailing ``*`` marking a
 starred step; e.g. ``"U F1* D*"``.
@@ -44,6 +46,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache, reduce
+from itertools import accumulate, product
 from math import prod
 
 from . import kernels
@@ -398,22 +401,9 @@ def recompose(
 # -- left factors --------------------------------------------------------------
 
 
-def left_factor_count(n: int, k: int, j: int) -> int:
-    """Number of length-n prefixes of final height k with j SE or E1 steps,
-    by a (height, j) transfer."""
-    table = _left_factor_table(n)
-    if not (0 <= k <= n and 0 <= j <= n):
-        return 0
-    return table[k][j]
-
-
-@lru_cache(maxsize=None)
-def _left_factor_table(n: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(row) for row in kernels.left_factor_counts(n))
-
-
 def left_factor_formula(n: int, k: int, j: int) -> int:
-    """The same count in closed form:
+    """Number of length-n left factors of final height k with j SE or E1
+    steps, in closed form:
     binom(n,j) binom(n,j+k) - binom(n,j-1) binom(n,j+k+1)."""
     return binomial(n, j) * binomial(n, j + k) - binomial(n, j - 1) * binomial(
         n, j + k + 1
@@ -421,21 +411,13 @@ def left_factor_formula(n: int, k: int, j: int) -> int:
 
 
 def iter_left_factors(n: int):
-    """Yield (steps, final_height, j) over all length-n prefixes."""
-    def rec(pos, h, j, acc):
-        if pos == n:
-            yield tuple(acc), h, j
-            return
-        for kind in (NE, E1, E2, SE):
-            if kind == SE and h == 0:
-                continue
-            acc.append(kind)
-            yield from rec(
-                pos + 1, h + _RISE[kind], j + (kind in (SE, E1)), acc
-            )
-            acc.pop()
-
-    yield from rec(0, 0, 0, [])
+    """Yield (steps, final_height, j) over all length-n prefixes: the words
+    over NE, E1, E2, SE whose running height never goes below 0, with j
+    their SE and E1 steps."""
+    for steps in product((NE, E1, E2, SE), repeat=n):
+        heights = tuple(accumulate((_RISE[kind] for kind in steps), initial=0))
+        if min(heights) >= 0:
+            yield steps, heights[-1], steps.count(SE) + steps.count(E1)
 
 
 # -- lattice path pairs ---------------------------------------------------------
@@ -589,7 +571,6 @@ __all__ = [
     "core_closed_form",
     "decompose",
     "recompose",
-    "left_factor_count",
     "left_factor_formula",
     "iter_left_factors",
     "pair_to_left_factor",

@@ -15,7 +15,7 @@ import time
 from itertools import product
 
 from conftest import coeff_y
-from pasep import ansatz, cli, closedforms as cf, crosscheck, paths, permstats, rooks
+from pasep import ansatz, cli, closedforms as cf, crosscheck, kernels, paths, permstats, rooks
 from pasep.laurent import ONE, Q, Y, ZERO, LaurentPoly
 from pasep.qcombinat import binomial
 
@@ -104,19 +104,20 @@ def test_acceptance_07_path_ladder():
     for n in range(1, 10):
         ok = ok and paths.labelled_path_sum(n) == (ONE - Q) ** n * paths.motzkin_polynomial(n)
         total = ZERO
-        for k in range(n + 1):
+        for k, row in enumerate(kernels.left_factor_counts(n)):
             core = paths.core_signed_sum(k)
             for j in range(n - k + 1):
-                c = paths.left_factor_count(n, k, j)
+                c = row[j]
                 if c:
                     total = total + LaurentPoly.monomial(c, 0, j) * core
         ok = ok and total == paths.labelled_path_sum(n)
     for k in range(11):
         ok = ok and paths.core_signed_sum(k) == (-1) ** k * paths.core_closed_form(k)
     for n in range(11):
+        table = kernels.left_factor_counts(n)
         for k in range(n + 1):
             for j in range(n + 1):
-                ok = ok and paths.left_factor_count(n, k, j) == paths.left_factor_formula(n, k, j)
+                ok = ok and table[k][j] == paths.left_factor_formula(n, k, j)
     for n in range(8):
         image = set()
         for lower in product("NE", repeat=n):

@@ -128,10 +128,9 @@ def test_matching_cap():
 
 def test_left_factor_cap():
     n = kernels.LEFT_FACTOR_CAP
+    table = kernels.left_factor_counts(n)
     for k in range(n + 1):
         for j in range(n + 1):
-            assert paths.left_factor_count(n, k, j) == paths.left_factor_formula(n, k, j)
+            assert table[k][j] == paths.left_factor_formula(n, k, j)
     with pytest.raises(ValueError):
         kernels.left_factor_counts(n + 1)
-    with pytest.raises(ValueError):
-        paths.left_factor_count(n + 1, 0, 0)

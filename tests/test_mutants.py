@@ -17,7 +17,7 @@ import textwrap
 
 import pytest
 
-from pasep import ansatz, closedforms, crosscheck, kernels, paths, permstats, rooks
+from pasep import ansatz, closedforms, crosscheck, kernels, laurent, paths, permstats, rooks
 from pasep.laurent import LaurentPoly
 
 N_MAX = 5
@@ -270,6 +270,19 @@ MUTANTS = (
      "return ((n, k) == (4, 1)) + binomial(n, j) * binomial(n, j + k)"
      " - binomial(n, j - 1) * binomial(",
      {"check_left_factor_counts"}),
+    # The transfer drops E2, so every table with n >= 1 counts too few left
+    # factors: the three checks that read the table fail, each against its
+    # own independent side.
+    ("left_factor_transfer_drops_e2", kernels, "left_factor_counts",
+     "new[h][j] += c  # E2",
+     "pass",
+     {"check_decomposition_sum", "check_left_factor_counts", "check_kernel_definitions"}),
+    # The y-support loses its lowest degree, so theorem1's lowest y-degree
+    # reads 2, or none at n = 1.  Only the positivity check asks for it.
+    ("y_support_drops_lowest_degree", laurent.LaurentPoly, "y_support",
+     "return sorted(self._rows)",
+     "return sorted(self._rows)[1:]",
+     {"check_positivity_and_factorial"}),
     # The estimate's power of n is off by 0.1, so the ratios no longer
     # approach 1 from below.
     ("asymptotic_ratio_exponent", closedforms, "asymptotic_ratio",
@@ -298,7 +311,6 @@ SHARED: dict[str, str] = {
     "check_row_sum_formula": "column_weight_sum is also read by the rook ladder",
     "check_boundary_reconciliation": "the hatted products are also compared with the rook sums",
     "check_rook_route_vs_theorem1": "its rook sums and theorem1 are each read by another check",
-    "check_positivity_and_factorial": "theorem1 is also compared with every route",
     "check_truncation_stability": "a size-dependent D or E also breaks the matrix checks",
     "check_pattern_tail_bound": "blind to undercounts; overcounts fail kernel definitions too",
 }

@@ -105,10 +105,10 @@ def test_core_closed_form():
 def test_decomposition_sum_identity():
     for n in range(1, 10):
         total = ZERO
-        for k in range(n + 1):
+        for k, row in enumerate(kernels.left_factor_counts(n)):
             core = paths.core_signed_sum(k)
             for j in range(n - k + 1):
-                c = paths.left_factor_count(n, k, j)
+                c = row[j]
                 if c:
                     total = total + LaurentPoly.monomial(c, 0, j) * core
         assert total == paths.labelled_path_sum(n), n
@@ -116,17 +116,16 @@ def test_decomposition_sum_identity():
 
 def test_left_factor_counts_match_formula():
     for n in range(11):
+        table = kernels.left_factor_counts(n)
         for k in range(n + 1):
             for j in range(n + 1):
-                assert paths.left_factor_count(n, k, j) == paths.left_factor_formula(
-                    n, k, j
-                ), (n, k, j)
+                assert table[k][j] == paths.left_factor_formula(n, k, j), (n, k, j)
 
 
 def test_left_factor_examples():
-    assert paths.left_factor_count(1, 1, 0) == 1
-    assert paths.left_factor_count(2, 0, 1) == 3
-    assert paths.left_factor_count(2, 0, 0) == 1
+    assert kernels.left_factor_counts(1)[1][0] == 1
+    assert kernels.left_factor_counts(2)[0][1] == 3
+    assert kernels.left_factor_counts(2)[0][0] == 1
 
 
 def test_path_type_weights_and_serialisation():
