@@ -3,7 +3,8 @@
 ``BACKEND`` names the one backend, and every kernel after it in ``__all__``
 returns plain lists of ints, nested but for ``matching_crossing_hist``'s flat
 histogram, built afresh on each call so that a caller may keep them; the
-library reads the signed-path sums as polynomials, from ``signed_path_sum``.
+library reads the signed-path sums as polynomials, from ``labelled_sum`` and
+``core_series``.
 The labelled-path and left-factor tables are transfer DPs over path
 heights, polynomial in n; the ascent table is a DP over the 2^n sets of
 used values.  The crossing statistics stay brute force over
@@ -179,10 +180,11 @@ def matching_crossing_hist(n: int) -> list[int]:
 #   SE, E2:  1   (plain)   or  -q^h        (starred)
 # The restricted (core) set, paths.LabeledMotzkinPath.in_core_set, also
 # requires every east step to be starred and forbids a plain NE immediately
-# followed by a plain SE.
+# followed by a plain SE.  Both sums take lengths 0..SIGNED_PATH_CAP; length 0
+# is the empty path, whose sum is 1.
 
 
-def _labelled_path_sum(n: int) -> LaurentPoly:
+def labelled_sum(n: int) -> LaurentPoly:
     """The signed weight sum over all labelled closed paths of length n.
 
     A step's plain and starred choices lead to the same height, so the DP
@@ -192,6 +194,8 @@ def _labelled_path_sum(n: int) -> LaurentPoly:
     c[h] + c[h+1], with c[m] = (1 - q^m) (y p[m-1] + p[m]): c[h] takes NE
     from h-1 and E2 from h, and c[h+1] takes E1 from h and SE from h+1.
     """
+    if not 0 <= n <= SIGNED_PATH_CAP:
+        raise ValueError(f"n must be in 0..{SIGNED_PATH_CAP}")
     dp = [ONE]
     for pos in range(n):
         high = min(len(dp), n - pos - 1)  # higher paths cannot close in time
@@ -204,12 +208,14 @@ def _labelled_path_sum(n: int) -> LaurentPoly:
     return dp[0]
 
 
-def _core_path_counts(n: int, mark_z: bool) -> list:
+def core_series(n: int, mark_z: bool) -> list:
     """[S_0, S_1, ...]: S_z is the signed weight sum over the core paths of
     length n with z starred steps (the whole sum is S_0 unless mark_z).
 
     The DP runs over the states (height, last step was a plain NE).
     """
+    if not 0 <= n <= SIGNED_PATH_CAP:
+        raise ValueError(f"n must be in 0..{SIGNED_PATH_CAP}")
     dz = 1 if mark_z else 0
     states = {(0, False): [ONE]}
     for pos in range(n):
@@ -240,23 +246,13 @@ def _core_path_counts(n: int, mark_z: bool) -> list:
     return states[0, False]
 
 
-def signed_path_sum(n: int, restricted: bool) -> LaurentPoly:
-    """The signed weight sum over labelled closed paths of length n, as a
-    polynomial: the full labelled set, or the core subset if restricted."""
-    if not 1 <= n <= SIGNED_PATH_CAP:
-        raise ValueError(f"n must be in 1..{SIGNED_PATH_CAP}")
-    if restricted:
-        return sum(_core_path_counts(n, False), ZERO)
-    return _labelled_path_sum(n)
-
-
 def signed_path_table(n: int, restricted: bool) -> list[list[int]]:
     """table[e_y][e_q] = signed count of labelled closed paths of length n.
 
     Unrestricted: the full labelled set; restricted: east steps starred and
     no all-plain peak.  Either way the table encodes the signed weight sum.
     """
-    total = signed_path_sum(n, restricted)
+    total = core_series(n, False)[0] if restricted else labelled_sum(n)
     qmax = (n + 1) * (n + 1) // 4 + 1
     table = [[0] * (qmax + 1) for _ in range(n + 1)]
     for eq, ey, c in total.terms():

@@ -24,7 +24,6 @@ to ``int``.
 
 from __future__ import annotations
 
-import json
 from collections import defaultdict
 from fractions import Fraction
 from itertools import accumulate, chain, islice, repeat
@@ -109,17 +108,8 @@ class LaurentPoly:
 
     # -- ring operations --------------------------------------------------
 
-    @staticmethod
-    def _coerce(other):
-        if isinstance(other, LaurentPoly):
-            return other
-        if isinstance(other, int):
-            return LaurentPoly.monomial(other)
-        return None
-
     def __add__(self, other):
-        other = LaurentPoly._coerce(other)
-        if other is None:
+        if not isinstance(other, LaurentPoly):
             return NotImplemented
         a, b = self._rows, other._rows
         if len(a) < len(b):
@@ -135,8 +125,7 @@ class LaurentPoly:
         )
 
     def __sub__(self, other):
-        other = LaurentPoly._coerce(other)
-        if other is None:
+        if not isinstance(other, LaurentPoly):
             return NotImplemented
         return self + (-other)
 
@@ -173,8 +162,7 @@ class LaurentPoly:
         return result
 
     def __eq__(self, other):
-        other = LaurentPoly._coerce(other)
-        if other is None:
+        if not isinstance(other, LaurentPoly):
             return NotImplemented
         return self._rows == other._rows
 
@@ -254,8 +242,13 @@ class LaurentPoly:
     # -- serialisation ------------------------------------------------------
 
     def to_json(self) -> str:
-        terms = [{"q": eq, "y": ey, "c": str(c)} for eq, ey, c in self.terms()]
-        return json.dumps({"terms": terms}, separators=(",", ":"))
+        """{"terms":[{"q":e_q,"y":e_y,"c":"c"},...]} in canonical order, compact.
+
+        A coefficient is an int or a Fraction, whose str needs no escaping.
+        """
+        return '{"terms":[' + ",".join(
+            f'{{"q":{eq},"y":{ey},"c":"{c}"}}' for eq, ey, c in self.terms()
+        ) + "]}"
 
     # -- display ------------------------------------------------------------
 

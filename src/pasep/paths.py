@@ -344,20 +344,20 @@ def labelled_path_sum(n: int) -> LaurentPoly:
     Equals (1-q)^n * motzkin_polynomial(n); n is capped at
     kernels.SIGNED_PATH_CAP.
     """
-    return kernels.signed_path_sum(n, False)
+    return kernels.labelled_sum(n)
 
 
 def partition_polynomial_via_signed_paths(n: int) -> LaurentPoly:
     """The partition polynomial of size n, the labelled sum divided by (1-q)^n."""
+    if n < 1:
+        raise ValueError("n >= 1 required")
     return labelled_path_sum(n).exact_div(n)
 
 
 @lru_cache(maxsize=None)
 def core_signed_sum(k: int) -> LaurentPoly:
     """Signed weight sum over the core subset of length k <= kernels.SIGNED_PATH_CAP."""
-    if k == 0:
-        return ONE
-    return kernels.signed_path_sum(k, True)
+    return kernels.core_series(k, False)[0]
 
 
 def core_closed_form(k: int) -> LaurentPoly:
@@ -527,7 +527,7 @@ def check_functional_equation(t_order: int) -> list[str]:
     """
     if not 0 <= t_order <= FUNCTIONAL_EQUATION_CAP:
         raise ValueError(f"t_order must be in 0..{FUNCTIONAL_EQUATION_CAP}")
-    s = [kernels._core_path_counts(n, True) for n in range(t_order + 1)]
+    s = [kernels.core_series(n, True) for n in range(t_order + 1)]
     s_qz = [[v * Q**k for k, v in enumerate(c)] for c in s]  # S(qz)
     violations = []
 

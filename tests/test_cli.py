@@ -181,7 +181,7 @@ def test_removed_flags_rejected():
             assert exc.value.code == 2
 
 
-def test_usage_errors_exit_2():
+def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli(["eval", "--method", "not-a-method", "-n", "3"])
     assert exc.value.code == 2
@@ -202,6 +202,14 @@ def test_usage_errors_exit_2():
         with pytest.raises(SystemExit) as exc:
             run_cli(args)
         assert exc.value.code == 2, args
+    capsys.readouterr()
+    assert run_cli(["eval", "--method", "theorem1", "-n", "0"]) == 2
+    assert capsys.readouterr().err == "error: n must be >= 1\n"
+    for text in ("abc", "1/0"):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["eval", "--method", "theorem1", "-n", "3", "--q", text])
+        assert exc.value.code == 2, text
+        assert f"not an exact number: {text!r}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("text", ["0..3", "5..3", "1..x"])
@@ -311,6 +319,27 @@ def test_table_coeff_cap(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "capped at q^992" in captured.err
+    assert run_cli(["table", "1..65"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: table is capped at n <= 64\n"
+
+
+def test_table_json_and_pretty(capsys):
+    args = ["table", "1..4", "--coeff", "q0..q2", "--format"]
+    assert run_cli(args + ["json"]) == 0
+    assert capsys.readouterr().out == (
+        '{"columns":["n","q0","q1","q2"],'
+        '"rows":[[1,1,0,0],[2,2,0,0],[3,5,1,0],[4,14,8,2]]}\n'
+    )
+    assert run_cli(args + ["pretty"]) == 0
+    assert capsys.readouterr().out == (
+        "n  q0  q1  q2\n"
+        "1   1   0   0\n"
+        "2   2   0   0\n"
+        "3   5   1   0\n"
+        "4  14   8   2\n"
+    )
 
 
 def test_crosscheck_small_passes(capsys):

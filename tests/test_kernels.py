@@ -14,7 +14,7 @@ def test_backend_constant():
     assert kernels.__all__[0] == "BACKEND"
 
 
-@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("n", range(0, 7))
 def test_labelled_and_core_sums_match_paths(n):
     labelled = core = ZERO
     for p in paths.iter_labelled_paths(n):
@@ -36,7 +36,7 @@ def test_core_z_series_matches_paths(n):
             want[(z, eq, ey)] = want.get((z, eq, ey), 0) + sign
     got = {
         (z, eq, ey): c
-        for z, poly in enumerate(kernels._core_path_counts(n, True))
+        for z, poly in enumerate(kernels.core_series(n, True))
         for eq, ey, c in poly.terms()
     }
     assert got == {k: c for k, c in want.items() if c}
@@ -89,10 +89,20 @@ def test_table_totals_are_factorials():
 def test_signed_path_cap():
     n = kernels.SIGNED_PATH_CAP
     assert kernels.signed_path_table(n, True)[0][0] == (-1) ** n
-    with pytest.raises(ValueError):
-        kernels.signed_path_table(n + 1, False)
+    for restricted in (False, True):
+        # Length 0 is the empty path, of weight 1.
+        assert kernels.signed_path_table(0, restricted) == [[1, 0]]
+        with pytest.raises(ValueError, match=f"n must be in 0..{n}"):
+            kernels.signed_path_table(n + 1, restricted)
+    for bad in (-1, n + 1):
+        with pytest.raises(ValueError, match=f"n must be in 0..{n}"):
+            kernels.labelled_sum(bad)
+        with pytest.raises(ValueError, match=f"n must be in 0..{n}"):
+            kernels.core_series(bad, True)
     with pytest.raises(ValueError):
         paths.labelled_path_sum(n + 1)
+    with pytest.raises(ValueError, match="n >= 1 required"):
+        paths.partition_polynomial_via_signed_paths(0)
 
 
 def test_permutation_cap(capsys):

@@ -68,6 +68,17 @@ def test_mul_examples():
     assert (ONE - Q) * (ONE + Q) == ONE - Q**2
     assert LaurentPoly.monomial(1, -2, 0) * Q**2 == ONE
     assert (ONE + Y) ** 2 == ONE + 2 * Y + Y**2
+    assert Y * 0 == ZERO
+
+
+def test_int_operands_only_multiply():
+    """An int may multiply a polynomial, but not add to it or equal it."""
+    with pytest.raises(TypeError):
+        ONE + 1
+    with pytest.raises(TypeError):
+        ONE - 1
+    assert (ONE == 1) is False
+    assert (ONE != 1) is True
 
 
 def test_exact_div_examples():
@@ -145,6 +156,8 @@ def test_canonical_order_and_json():
     assert keys == sorted(keys)
     assert all(isinstance(t["c"], str) for t in obj["terms"])
     assert ZERO.to_json() == '{"terms":[]}'
+    p = (Y + 3 * Q).eval_q(Fraction(1, 2))
+    assert p.to_json() == '{"terms":[{"q":0,"y":0,"c":"3/2"},{"q":0,"y":1,"c":"1"}]}'
 
 
 def test_pretty():
@@ -240,6 +253,8 @@ def test_pow_matches_repeated_multiplication():
         for k in range(10):
             assert p**k == power
             power = power * p
+    with pytest.raises(ValueError, match="nonnegative"):
+        Y**-1
 
 
 @settings(max_examples=100, deadline=None)
@@ -304,3 +319,18 @@ def test_division_inverts_multiplication(a, k):
 def test_json_roundtrip(p):
     terms = [(t["q"], t["y"], int(t["c"])) for t in json.loads(p.to_json())["terms"]]
     assert terms == list(p.terms())
+
+
+def reference_json(p):
+    """The wire format through json.dumps, the reference for to_json."""
+    terms = [{"q": eq, "y": ey, "c": str(c)} for eq, ey, c in p.terms()]
+    return json.dumps({"terms": terms}, separators=(",", ":"))
+
+
+@settings(max_examples=80, deadline=None)
+@given(any_polys, st.fractions(max_denominator=50).filter(bool))
+def test_json_matches_reference(p, q):
+    assert p.to_json() == reference_json(p)
+    # Substitution can leave Fraction coefficients, which print as "a/b".
+    p = p.eval_q(q)
+    assert p.to_json() == reference_json(p)

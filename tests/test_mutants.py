@@ -175,7 +175,7 @@ MUTANTS = (
       "check_positivity_and_factorial"}),
     # The core DP weighs E2* as a plain step: +1 and no z.  The core sums and
     # every check built on them fail; the labelled sums have their own DP.
-    ("starred_e2_made_plain_in_core_counts", kernels, "_core_path_counts",
+    ("starred_e2_made_plain_in_core_counts", kernels, "core_series",
      "(h, False, True, 0, h),  # E2*",
      "(h, False, False, 0, h),  # E2",
      {"check_decomposition_sum", "check_core_closed_form", "check_functional_equation",

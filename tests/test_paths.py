@@ -79,6 +79,7 @@ def test_slot_bits_hold_every_state_up_to_the_cap():
 
 
 def test_labelled_path_sum_small():
+    assert paths.labelled_path_sum(0) == ONE
     assert paths.labelled_path_sum(1) == Y - Y * Q
     assert paths.labelled_path_sum(2) == (ONE - Q) ** 2 * (Y + Y**2)
 
@@ -391,5 +392,5 @@ def test_functional_equation_refuses_past_its_cap():
 
 def test_functional_equation_t1_series():
     # [t^1] of the z-marked series is -qyz - z
-    series = kernels._core_path_counts(1, True)
+    series = kernels.core_series(1, True)
     assert series == [ZERO, -(Q * Y + ONE)]
