@@ -10,7 +10,6 @@ statistics, the combinatorial oracle.  The ``crosscheck`` CLI verb asserts
 the full matrix of pairwise identities.
 """
 
-from .kernels import BACKEND
 from .laurent import LaurentPoly, NotDivisible, PoleAtZero
 
 __version__ = "0.1.0"
@@ -22,3 +21,13 @@ __all__ = [
     "PoleAtZero",
     "__version__",
 ]
+
+
+def __getattr__(name: str):
+    # BACKEND is read from kernels on first use, so that importing the
+    # package does not load the kernels a route may never call.
+    if name == "BACKEND":
+        from .kernels import BACKEND
+
+        return BACKEND
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -15,26 +15,27 @@ from __future__ import annotations
 
 import argparse
 import importlib
-import json
 import os
 import re
 import sys
 import time
-from fractions import Fraction
 
-from . import kernels
+from .caps import PERMUTATION_CAP, ROOK_CAP, SIGNED_PATH_CAP
 from .laurent import LaurentPoly
+
+# Fraction, in the annotations below, is imported where a value is parsed:
+# only --q and --y need it.
 
 # Per-method size caps: exhaustive methods refuse rather than hang.
 METHOD_CAPS = {
     "matrix": 40,
     "motzkin": 64,
-    "signed-paths": kernels.SIGNED_PATH_CAP,
-    "rooks": kernels.ROOK_CAP,
+    "signed-paths": SIGNED_PATH_CAP,
+    "rooks": ROOK_CAP,
     "theorem1": 64,
     "williams": 64,
-    "permutations-ascent": kernels.PERMUTATION_CAP,
-    "permutations-crossing": kernels.PERMUTATION_CAP,
+    "permutations-ascent": PERMUTATION_CAP,
+    "permutations-crossing": PERMUTATION_CAP,
 }
 
 CROSSCHECK_CAP = 9
@@ -75,6 +76,8 @@ METHODS = {
 
 
 def _parse_value(text: str) -> Fraction:
+    from fractions import Fraction
+
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
@@ -178,6 +181,8 @@ def cmd_crosscheck(n_max: int, fmt: str) -> int:
     elapsed = time.monotonic() - t0
     failed = [r for r in reports if not r.ok]
     if fmt == "json":
+        import json
+
         print(
             json.dumps(
                 {
@@ -220,13 +225,11 @@ def cmd_table(n_range: tuple[int, int], coeff: tuple[int, int], fmt: str) -> int
 
     from . import closedforms
 
-    def row(n: int) -> list[int]:
-        p = closedforms.partition_polynomial_y1(n)
-        return [p.coeff(m, 0) for m in range(clo, chi + 1)]
-
-    rows = [row(n) for n in sizes]
+    rows = [closedforms.y1_low_coefficients(n, chi + 1)[clo:] for n in sizes]
 
     if fmt == "json":
+        import json
+
         print(
             json.dumps(
                 {
@@ -268,5 +271,19 @@ def main(argv=None) -> int:
     return status
 
 
+def run() -> None:
+    """The process entry point: main(), then exit without interpreter teardown.
+
+    The output is written by then, so tearing down the objects a route
+    built would cost time and reach no reader.  stdout and stderr are
+    flushed first.  A usage error (argparse's SystemExit) or an uncaught
+    exception leaves main the normal way and exits through the interpreter.
+    """
+    status = main()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(status)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

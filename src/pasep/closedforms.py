@@ -16,8 +16,8 @@ from or checked against that polynomial.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from math import factorial, pi, sqrt
 from operator import add, neg
 
@@ -57,18 +57,13 @@ def partition_polynomial(n: int) -> LaurentPoly:
     return num.exact_div(n)
 
 
-@lru_cache(maxsize=None)
-def partition_polynomial_y1(n: int) -> LaurentPoly:
-    """The y=1 specialisation, from its own central-binomial form:
-
-        (1/(1-q)^n) * sum_k (-1)^k (binom(2n,n-k) - binom(2n,n-k-2))
-            * sum_{i=0..k} q^(i(k+1-i)).
+def _y1_numerator(n: int) -> list:
+    """(1-q)^n times the y=1 specialisation, as one dense q-row: the sum
+    in partition_polynomial_y1's form.
 
     With i fixed, the exponent runs i, 2i, 3i, ... as k runs from i to n,
-    so each i is one strided slice-add into one dense q-row.
+    so each i is one strided slice-add into the row.
     """
-    if n < 1:
-        raise ValueError("n >= 1 required")
     # signed[k] = (-1)^k (binom(2n,n-k) - binom(2n,n-k-2)), for k = 0..n
     signed = [binomial(2 * n, n - k) - binomial(2 * n, n - k - 2) for k in range(n + 1)]
     signed[1::2] = map(neg, signed[1::2])
@@ -77,7 +72,37 @@ def partition_polynomial_y1(n: int) -> LaurentPoly:
     for i in range(1, n + 1):
         stop = i * (n - i + 2)
         row[i:stop:i] = map(add, row[i:stop:i], signed[i:])
-    return LaurentPoly.from_rows({0: (0, row)}).exact_div(n)
+    return row
+
+
+@lru_cache(maxsize=None)
+def partition_polynomial_y1(n: int) -> LaurentPoly:
+    """The y=1 specialisation, from its own central-binomial form:
+
+        (1/(1-q)^n) * sum_k (-1)^k (binom(2n,n-k) - binom(2n,n-k-2))
+            * sum_{i=0..k} q^(i(k+1-i)).
+    """
+    if n < 1:
+        raise ValueError("n >= 1 required")
+    return LaurentPoly.from_rows({0: (0, _y1_numerator(n))}).exact_div(n)
+
+
+def y1_low_coefficients(n: int, stop: int) -> list[int]:
+    """The coefficients of q^0 .. q^(stop-1) in the y=1 specialisation.
+
+    The first stop coefficients of a quotient by (1-q)^n depend only on the
+    first stop coefficients of the dividend, so this takes n prefix-sum
+    passes over those alone.  It therefore cannot see whether the whole
+    division is exact, as partition_polynomial_y1 does; the tests compare
+    the two at every size and column ``pasep table`` takes.
+    """
+    if n < 1:
+        raise ValueError("n >= 1 required")
+    row = _y1_numerator(n)[:stop]
+    row += [0] * (stop - len(row))
+    for _ in range(n):
+        row = list(accumulate(row))
+    return row
 
 
 @lru_cache(maxsize=None)
@@ -178,6 +203,8 @@ def q10_coefficient(n: int) -> int:
     """Closed form for the q^10 coefficient of the y=1 polynomial (0 for n < 8)."""
     if n < 8:
         return 0
+    from fractions import Fraction
+
     poly = sum(c * n**e for e, c in _Q10_POLY)
     value = Fraction(factorial(2 * n) * poly) / Fraction(
         factorial(10) * factorial(n + 12) * factorial(n - 8)
@@ -238,6 +265,8 @@ def asymptotic_ratio(m: int, n: int) -> float:
         raise ValueError(
             f"asymptotic_ratio(m={m}, n={n}) needs n >= 1 and 0 <= m <= (n-1)^2 // 4"
         )
+    from fractions import Fraction
+
     coeff = partition_polynomial_y1(n).coeff(m, 0)
     return float(Fraction(coeff * factorial(m), 4**n)) * sqrt(pi) * n ** (1.5 - m)
 
@@ -245,6 +274,7 @@ def asymptotic_ratio(m: int, n: int) -> float:
 __all__ = [
     "partition_polynomial",
     "partition_polynomial_y1",
+    "y1_low_coefficients",
     "y_coefficient_formula",
     "partition_polynomial_via_williams",
     "matching_closed_form",

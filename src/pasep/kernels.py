@@ -17,24 +17,10 @@ from __future__ import annotations
 
 from itertools import permutations
 
+from .caps import LEFT_FACTOR_CAP, MATCHING_CAP, PERMUTATION_CAP, SIGNED_PATH_CAP
 from .laurent import ONE, Y, ZERO, LaurentPoly
 
 BACKEND = "python"
-
-# Largest path length the signed-path table (and the signed-paths route) takes.
-SIGNED_PATH_CAP = 24
-
-# Largest n the permutation tables (and the permutation routes) take.
-PERMUTATION_CAP = 9
-
-# Largest n the matching table takes: (2n-1)!! matchings, 2027025 at the cap.
-MATCHING_CAP = 8
-
-# Largest length the left-factor table takes.
-LEFT_FACTOR_CAP = 16
-
-# Largest half-perimeter the exhaustive rook sums (and the rook route) take.
-ROOK_CAP = 9
 
 
 def ascent_pattern_counts(n: int) -> list[list[int]]:

@@ -25,7 +25,6 @@ to ``int``.
 from __future__ import annotations
 
 from collections import defaultdict
-from fractions import Fraction
 from itertools import accumulate, chain, islice, repeat
 from operator import add, mul, neg, sub
 
@@ -203,6 +202,8 @@ class LaurentPoly:
         return self._eval(1, value)
 
     def _eval(self, axis: int, value):
+        from fractions import Fraction
+
         v = Fraction(value)
         # Rows are trimmed, so the least exponent on the axis has a term.
         if not v and self._rows and min(
@@ -289,25 +290,19 @@ def _q_poly_str(lo: int, row: list) -> str:
     for eq, c in enumerate(row, lo):
         if not c:
             continue
-        qp = _power_str("q", eq)
-        if not qp:
-            s = str(c)
-        elif c == 1:
-            s = qp
-        elif c == -1:
-            s = "-" + qp
+        if eq == 0:
+            parts.append(str(c))
         else:
-            s = f"{c}*{qp}"
-        parts.append(s)
+            qp = "q" if eq == 1 else f"q^{eq}"
+            parts.append(qp if c == 1 else "-" + qp if c == -1 else f"{c}*{qp}")
     return _signed_join(parts)
 
 
 def _signed_join(parts: list) -> str:
-    """The parts joined by " + ", or by " - " before a part that starts with "-"."""
-    out = parts[0]
-    for p in parts[1:]:
-        out += " - " + p[1:] if p.startswith("-") else " + " + p
-    return out
+    """The parts joined by " + ", or by " - " before a part that starts with
+    "-".  No part holds " + -" itself: a q-row part has no space, and a
+    part holding a q-row was joined this way."""
+    return " + ".join(parts).replace(" + -", " - ")
 
 
 def _trim(lo: int, row: list) -> tuple[int, list] | None:

@@ -255,7 +255,7 @@ def iter_decomposed_paths(n: int):
 
 
 def _slot_bits(n: int) -> int:
-    """The slot width b of the packed rows in motzkin_polynomials_upto(n),
+    """The slot width b of the packed rows in the transfer cut at n,
     in bits, a whole number of bytes: every coefficient the transfer forms
     is below 2^b.
 
@@ -295,17 +295,16 @@ def _unpacked(rows: dict, b: int) -> dict:
     return out
 
 
-@lru_cache(maxsize=None)
-def motzkin_polynomials_upto(n: int) -> tuple[LaurentPoly, ...]:
-    """(p_1, ..., p_n): p_s is the weighted sum over closed paths of length s.
+def _transfer(n: int, b: int):
+    """Yield, after each step s = 1..n of the transfer cut at n, the packed
+    q-rows {e_y: int} of the paths of length s that end at height 0: the
+    sum p_s, b bits a slot.
 
     Each state holds one int per power of y: its q-row, coefficient i in
     bits [i*b, (i+1)*b) with b = _slot_bits(n).  No slot overflows, so
     shifts and adds of the ints are the ring operations on the rows.
     """
-    b = _slot_bits(n)
     dp = [{0: 1}]  # dp[h][e_y]: packed q-row of the paths so far that end at height h
-    results = []
     for step in range(1, n + 1):
         top = n - step  # higher paths cannot return to 0 by step n
         new = [defaultdict(int) for _ in range(min(len(dp), top) + 1)]
@@ -323,15 +322,26 @@ def motzkin_polynomials_upto(n: int) -> tuple[LaurentPoly, ...]:
                     if h <= top:
                         new[h][ey] += down
         dp = new
-        results.append(_unpacked(dp[0], b))  # held once, as dense rows
-    return tuple(map(LaurentPoly.from_rows, results))
+        yield dp[0]
+
+
+@lru_cache(maxsize=None)
+def motzkin_polynomials_upto(n: int) -> tuple[LaurentPoly, ...]:
+    """(p_1, ..., p_n): p_s is the weighted sum over closed paths of length s,
+    every step of one transfer unpacked."""
+    b = _slot_bits(n)
+    return tuple(LaurentPoly.from_rows(_unpacked(rows, b)) for rows in _transfer(n, b))
 
 
 def motzkin_polynomial(n: int) -> LaurentPoly:
-    """The partition polynomial of size n, via the path transfer recurrence."""
+    """The partition polynomial of size n, via the path transfer recurrence:
+    only the last step is unpacked, and nothing is cached."""
     if n < 1:
         raise ValueError("n >= 1 required")
-    return motzkin_polynomials_upto(n)[n - 1]
+    b = _slot_bits(n)
+    for rows in _transfer(n, b):
+        pass
+    return LaurentPoly.from_rows(_unpacked(rows, b))
 
 
 # -- labelled sums -----------------------------------------------------------

@@ -33,7 +33,7 @@ from functools import cached_property, lru_cache
 from itertools import product
 
 from . import ansatz
-from .kernels import ROOK_CAP
+from .caps import ROOK_CAP
 from .laurent import ONE, Q, Y, ZERO, LaurentPoly
 from .qcombinat import binomial, q_binomial, q_int
 

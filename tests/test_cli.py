@@ -132,17 +132,24 @@ def test_williams_equals_theorem1_at_cap():
 
 
 def test_motzkin_equals_theorem1_up_to_cap():
-    """The Motzkin route against theorem1 at every size up to its cap, all
-    read from one transfer at the cap; a difference is named by its first
-    term, as crosscheck reports it."""
+    """The Motzkin route against theorem1 at its cap, and every size up to
+    the cap read from one transfer cut there; a difference is named by its
+    first term, as crosscheck reports it.  The route runs a transfer of its
+    own and unpacks only its last step, so it is compared itself."""
     cap = cli.METHOD_CAPS["motzkin"]
+    theorem1 = cli.METHODS["theorem1"]
+    assert list(crosscheck._differ([cap], cli.METHODS["motzkin"], theorem1)) == []
     motzkin = paths.motzkin_polynomials_upto(cap)
     sizes = range(1, cap + 1)
-    theorem1 = cli.METHODS["theorem1"]
     assert list(crosscheck._differ(sizes, lambda n: motzkin[n - 1], theorem1)) == []
 
 
-ROUTE_MODULES = ("ansatz", "closedforms", "crosscheck", "paths", "permstats", "rooks")
+# The route modules, and the kernels, which only the paths and permstats
+# routes read.
+ROUTE_MODULES = ("ansatz", "closedforms", "crosscheck", "kernels", "paths", "permstats", "rooks")
+# Standard modules a verb imports only where its output needs them: exact
+# values for --q/--y, and the JSON encoder for crosscheck and table.
+DEFERRED_MODULES = ("decimal", "fractions", "json")
 
 
 @pytest.mark.parametrize(
@@ -150,27 +157,44 @@ ROUTE_MODULES = ("ansatz", "closedforms", "crosscheck", "paths", "permstats", "r
     [
         (None, []),
         (["eval", "--method", "theorem1", "-n", "3"], ["closedforms"]),
-        (["eval", "--method", "motzkin", "-n", "3"], ["paths"]),
+        (["eval", "--method", "motzkin", "-n", "3"], ["kernels", "paths"]),
         (["eval", "--method", "matrix", "-n", "3"], ["ansatz"]),
         (["eval", "--method", "rooks", "-n", "3"], ["ansatz", "rooks"]),
-        (["eval", "--method", "signed-paths", "-n", "3"], ["paths"]),
+        (["eval", "--method", "signed-paths", "-n", "3"], ["kernels", "paths"]),
         (["eval", "--method", "williams", "-n", "3"], ["closedforms"]),
-        (["eval", "--method", "permutations-ascent", "-n", "3"], ["permstats"]),
-        (["eval", "--method", "permutations-crossing", "-n", "3"], ["permstats"]),
+        (["eval", "--method", "permutations-ascent", "-n", "3"], ["kernels", "permstats"]),
+        (["eval", "--method", "permutations-crossing", "-n", "3"], ["kernels", "permstats"]),
         (["table", "1..3"], ["closedforms"]),
+        (["eval", "--method", "motzkin", "-n", "3", "--format", "csv"], ["kernels", "paths"]),
+        (["eval", "--method", "theorem1", "-n", "3", "--q", "1/2"], ["closedforms"]),
+        (["eval", "--method", "matrix", "-n", "3", "--y=-2"], ["ansatz"]),
+        (["table", "1..3", "--format", "json"], ["closedforms"]),
     ],
 )
 def test_each_verb_loads_only_its_route(argv, routes):
-    """import pasep.cli loads no route module; a verb loads its own route."""
+    """import pasep.cli loads no route module and no kernels; a verb loads
+    its own route, and the kernels only if that route reads them.  Neither
+    loads fractions (nor decimal, which it imports) unless --q or --y is
+    given, nor json unless the output is JSON from crosscheck or table;
+    LaurentPoly.to_json builds its string itself."""
     run = f"pasep.cli.main({argv!r}); " if argv else ""
     code = (
         "import sys, pasep.cli; " + run +
-        f"print(sorted(m for m in {ROUTE_MODULES!r} if 'pasep.' + m in sys.modules))"
+        f"print(sorted(m for m in {ROUTE_MODULES!r} if 'pasep.' + m in sys.modules)); "
+        f"print(sorted(m for m in {DEFERRED_MODULES!r} if m in sys.modules))"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, check=True, text=True
     ).stdout
-    assert out.splitlines()[-1] == repr(routes)
+    *_, loaded_routes, loaded = out.splitlines()
+    assert loaded_routes == repr(routes)
+    argv = argv or []
+    want = set()
+    if any(arg.startswith(("--q", "--y")) for arg in argv):
+        want |= {"decimal", "fractions"}
+    if "json" in argv and argv[0] != "eval":
+        want.add("json")
+    assert loaded == repr(sorted(want))
 
 
 def test_removed_flags_rejected():
@@ -504,6 +528,84 @@ def test_closed_stdout_exits_quietly(cmd):
     assert done.stderr == b""
 
 
+# The two ways a shell starts the CLI, each in a fresh process: the module,
+# and the console script pyproject.toml declares, which calls cli.run as the
+# script an installer writes for it does.
+ENTRY_POINTS = {
+    "module": [sys.executable, "-m", "pasep.cli"],
+    "script": [sys.executable, "-c", "import sys; from pasep.cli import run; sys.exit(run())"],
+}
+# Block-buffered stdout, as a pipe gets by default: output still held in the
+# buffer when run exits is lost unless run flushes it.
+BUFFERED = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+
+
+def _exited(cmd):
+    """(status, stdout, stderr) of cmd run to its exit.  The pipes are read
+    only after the exit, without waiting: a read that would block means a
+    process left behind still holds them.  The output must fit the pipe."""
+    with subprocess.Popen(
+        cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=BUFFERED
+    ) as proc:
+        status = proc.wait(timeout=120)
+        outs = []
+        for pipe in (proc.stdout, proc.stderr):
+            os.set_blocking(pipe.fileno(), False)
+            chunks = []
+            try:
+                while chunk := os.read(pipe.fileno(), 1 << 16):
+                    chunks.append(chunk)
+            except BlockingIOError:
+                pytest.fail(f"a process left behind by {cmd[1:]} holds its output")
+            outs.append(b"".join(chunks))
+    return status, *outs
+
+
+def test_console_script_is_run():
+    text = (Path(__file__).parents[1] / "pyproject.toml").read_text()
+    assert '\npasep = "pasep.cli:run"\n' in text
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_run_exit_status_in_a_fresh_process(entry):
+    """A usage error exits 2 through argparse, a size past the cap 3 through
+    run, each with its message on stderr and nothing on stdout."""
+    cmd = ENTRY_POINTS[entry]
+    status, out, err = _exited(cmd + ["eval", "--method", "no-such-method", "-n", "3"])
+    assert (status, out) == (2, b"")
+    assert b"invalid choice: 'no-such-method'" in err
+    status, out, err = _exited(cmd + ["eval", "--method", "motzkin", "-n", "65"])
+    assert (status, out) == (3, b"")
+    assert err == b"error: method motzkin is capped at n <= 64 (got n=65)\n"
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_run_writes_what_main_writes(entry, capsys):
+    """The largest output, theorem1 at its cap (3 MB, far past any pipe
+    or stdio buffer), reaches a fresh process's stdout whole before run
+    exits without teardown."""
+    args = ["eval", "--method", "theorem1", "-n", "64"]
+    done = subprocess.run(
+        ENTRY_POINTS[entry] + args, capture_output=True, check=True, env=BUFFERED
+    )
+    assert run_cli(args) == 0
+    want = capsys.readouterr().out.encode()
+    assert len(want) > 2**21
+    assert done.stdout == want
+    assert done.stderr == b""
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_run_crosscheck_leaves_no_process_behind(entry):
+    """crosscheck joins its pool of forked workers before run exits: once
+    the process has exited, no worker holds its stdout or stderr, and
+    stderr holds the completion line alone."""
+    status, out, err = _exited(ENTRY_POINTS[entry] + ["crosscheck", "--n-max", "3"])
+    assert status == 0
+    assert out.decode().splitlines()[-1] == "33/33 checks passed (n_max=3)"
+    assert re.fullmatch(rb"crosscheck completed in [0-9]+\.[0-9]s\n", err)
+
+
 def test_stdout_byte_deterministic_across_processes():
     cmds = [
         ["eval", "--method", "theorem1", "-n", "6", "--format", "json"],
@@ -567,6 +669,9 @@ UNREACHED_MEMBERS = {
     ("pasep.paths", "recompose"):
         "decompose's inverse on one path, which perfbench's trace shim wraps and the "
         "path tests use; the round trip folds its rule in the walk instead",
+    ("pasep.paths", "motzkin_polynomials_upto"):
+        "every p_s of one transfer, which perfbench's trace shim wraps and the tests read "
+        "every size from; the route unpacks only the last step of its own transfer",
     ("pasep.paths", "decompose"):
         "the split of one path, which perfbench's trace shim wraps and the path tests "
         "use; the round trip folds its rule in the walk and reads each core there",

@@ -3,7 +3,7 @@
 import pytest
 
 from conftest import coeff_y
-from pasep import ansatz, closedforms as cf, paths
+from pasep import ansatz, cli, closedforms as cf, paths
 from pasep.laurent import ONE, Q, Y, LaurentPoly
 from pasep.qcombinat import binomial, catalan
 
@@ -56,6 +56,20 @@ def test_y1_specialisation():
     assert cf.partition_polynomial_y1(3) == 5 * ONE + Q
     for n in range(1, 13):
         assert cf.partition_polynomial_y1(n) == cf.partition_polynomial(n).eval_y(1)
+
+
+def test_y1_low_coefficients_equal_the_exact_division():
+    """At every size and column `pasep table` takes, the truncated division
+    it reads gives the coefficients of the exact one, zeros past the
+    degree included."""
+    stop = cli.TABLE_COEFF_CAP + 1
+    for n in range(1, cli.METHOD_CAPS["theorem1"] + 1):
+        p = cf.partition_polynomial_y1(n)
+        assert cf.y1_low_coefficients(n, stop) == [p.coeff(m, 0) for m in range(stop)], n
+    assert cf.y1_low_coefficients(5, 7) == [42, 45, 25, 7, 1, 0, 0]
+    assert cf.y1_low_coefficients(1, 0) == []
+    with pytest.raises(ValueError, match="n >= 1 required"):
+        cf.y1_low_coefficients(0, 3)
 
 
 def test_y_coefficient_formula():

@@ -12,6 +12,8 @@ from pasep.laurent import ZERO, LaurentPoly
 def test_backend_constant():
     assert pasep.BACKEND == kernels.BACKEND == "python"
     assert kernels.__all__[0] == "BACKEND"
+    with pytest.raises(AttributeError, match="no attribute 'BACKEN'"):
+        pasep.BACKEN
 
 
 @pytest.mark.parametrize("n", range(0, 7))

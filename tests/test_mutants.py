@@ -120,7 +120,7 @@ MUTANTS = (
      {"check_lgv_bijection"}),
     # NE and E1 at height h weigh y [h+2]_q instead of y [h+1]_q in the
     # transfer: the one check that reads the Motzkin route catches it.
-    ("motzkin_up_step_shifted_in_q", paths, "motzkin_polynomials_upto",
+    ("motzkin_up_step_shifted_in_q", paths, "_transfer",
      "up = down + (p << h * b)  # weight y*[h+1]_q: NE and E1",
      "up = down + (p << h * b) + (p << (h + 1) * b)",
      {"check_motzkin_vs_theorem1"}),
